@@ -16,9 +16,7 @@ using namespace dapsp;
 namespace {
 
 void profile(const char* name, const Graph& g) {
-  core::ApspOptions opt;
-  opt.engine.record_activity = true;
-  const core::ApspResult r = core::run_pebble_apsp(g, opt);
+  const core::ApspResult r = core::run_pebble_apsp(g);
   const auto& act = r.round_activity;
 
   std::printf("\n== Activity profile: Algorithm 1 on %s (%llu rounds) ==\n",

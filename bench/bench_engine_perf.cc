@@ -68,18 +68,14 @@ BENCHMARK(BM_PebbleApsp)
     ->Args({256, 8})
     ->Args({512, 8});
 
-// Same driver with full instrumentation attached (TraceLog + EngineMetrics +
-// a send observer): collection is sharded (DESIGN.md §12), so the threads
-// dimension must scale like the untraced benchmark — no serial fallback.
+// Same driver with full instrumentation attached (TraceLog + EngineMetrics):
+// collection is sharded (DESIGN.md §12), so the threads dimension must scale
+// like the untraced benchmark — no serial fallback.
 void BM_PebbleApspTraced(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const Graph g = gen::random_connected(n, 2 * n, 42);
-  std::uint64_t observed = 0;
   core::ApspOptions opt;
   opt.engine.threads = static_cast<std::uint32_t>(state.range(1));
-  opt.engine.send_observer = [&observed](const congest::SendEvent&) {
-    ++observed;
-  };
   congest::TraceLog trace;
   congest::EngineMetrics metrics;
   opt.engine.trace = &trace;
@@ -89,7 +85,6 @@ void BM_PebbleApspTraced(benchmark::State& state) {
     metrics.clear();
     benchmark::DoNotOptimize(core::run_pebble_apsp(g, opt));
   }
-  benchmark::DoNotOptimize(observed);
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_PebbleApspTraced)
@@ -147,7 +142,7 @@ double time_apsp(const Graph& g, std::uint32_t threads, std::string* stats) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Timed instrumented run: trace + metrics + observer all attached. The trace
+// Timed instrumented run: trace + metrics attached. The trace
 // is serialized to JSONL so callers can compare runs byte for byte.
 double time_apsp_traced(const Graph& g, std::uint32_t threads,
                         std::string* stats, std::string* trace_bytes) {
@@ -155,12 +150,8 @@ double time_apsp_traced(const Graph& g, std::uint32_t threads,
   opt.engine.threads = threads;
   congest::TraceLog trace;
   congest::EngineMetrics metrics;
-  std::uint64_t observed = 0;
   opt.engine.trace = &trace;
   opt.engine.metrics = &metrics;
-  opt.engine.send_observer = [&observed](const congest::SendEvent&) {
-    ++observed;
-  };
   core::run_pebble_apsp(g, opt);  // warm-up
   trace.clear();
   metrics.clear();

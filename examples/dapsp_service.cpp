@@ -268,9 +268,9 @@ void write_outputs(const Args& a, const congest::TraceLog& trace,
     reg.counter("service_checkpoints") = st.checkpoints;
     reg.counter("service_repairs_suppressed") = st.repairs_suppressed;
     reg.counter("service_breaker_transitions") = st.breaker_transitions;
-    reg.counter("repairs_attempted") = st.run.repairs_attempted;
-    reg.counter("repairs_escalated") = st.run.repairs_escalated;
-    reg.counter("checkpoint_bytes") = st.run.checkpoint_bytes;
+    reg.counter("repairs_attempted") = st.repairs_attempted;
+    reg.counter("repairs_escalated") = st.repairs_escalated;
+    reg.counter("checkpoint_bytes") = st.checkpoint_bytes;
     reg.counter("rounds") = st.run.rounds;
     reg.counter("messages") = st.run.messages;
     reg.counter("total_bits") = st.run.total_bits;

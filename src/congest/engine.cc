@@ -47,9 +47,6 @@ void accumulate(RunStats& into, const RunStats& from) {
   into.nodes_crashed += from.nodes_crashed;
   into.node_stall_rounds += from.node_stall_rounds;
   into.neighbors_suspected += from.neighbors_suspected;
-  into.repairs_attempted += from.repairs_attempted;
-  into.repairs_escalated += from.repairs_escalated;
-  into.checkpoint_bytes += from.checkpoint_bytes;
 }
 
 std::string RunStats::debug_string() const {
@@ -70,11 +67,6 @@ std::string RunStats::debug_string() const {
     if (messages_corrupted) os << " corrupted=" << messages_corrupted;
     if (node_stall_rounds) os << " stall_rounds=" << node_stall_rounds;
   }
-  // Service-mode health counters: print only when nonzero, so one-shot runs
-  // keep their historical output.
-  if (repairs_attempted) os << " repairs=" << repairs_attempted;
-  if (repairs_escalated) os << " escalated=" << repairs_escalated;
-  if (checkpoint_bytes) os << " checkpoint_bytes=" << checkpoint_bytes;
   return std::move(os).str();
 }
 
@@ -102,6 +94,10 @@ void RoundCtx::send_all(const Message& m) {
 }
 
 namespace {
+
+std::uint64_t default_max_rounds(NodeId n) noexcept {
+  return 64 * std::uint64_t{n} + 1024;
+}
 
 // Applies FaultDecision::corrupt_bit to a message: wire bit layout is the
 // kTagBits kind bits followed by num_fields fields of value_bits bits each
@@ -201,7 +197,7 @@ Engine::Engine(const Graph& g, EngineConfig config)
   bandwidth_bits_ =
       static_cast<std::uint32_t>(kTagBits) + config_.bandwidth_ids * value_bits_;
   max_rounds_ =
-      config_.max_rounds != 0 ? config_.max_rounds : 64 * std::uint64_t{n} + 1024;
+      config_.max_rounds != 0 ? config_.max_rounds : default_max_rounds(n);
 
   for (InboxFrame& frame : inbox_) {
     frame.begin.assign(n, 0);
@@ -239,7 +235,6 @@ Engine::Engine(const Graph& g, EngineConfig config)
                  ? config_.threads
                  : std::max(1u, std::thread::hardware_concurrency());
   record_trace_ = config_.trace != nullptr;
-  record_events_ = record_trace_ || static_cast<bool>(config_.send_observer);
   const std::uint32_t shards =
       static_cast<std::uint32_t>(std::min<std::uint64_t>(threads_, n));
   accum_.resize(shards);
@@ -261,6 +256,11 @@ void Engine::init(
   round_ = 0;
   stats_ = RunStats{};
   stats_.bandwidth_bits = bandwidth_bits_;
+  // Room for one activity slot per round up to the default round limit, so
+  // the steady-state round loop stays allocation-free; only runs granted a
+  // larger max_rounds that actually go past it grow the vector.
+  activity_.clear();
+  activity_.reserve(std::min(max_rounds_, default_max_rounds(n)));
   pending_messages_ = 0;
   cur_inbox_ = 0;
   for (InboxFrame& frame : inbox_) {
@@ -380,8 +380,7 @@ void Engine::account_node(NodeId v, ShardAccum& acc) {
     acc.stats.max_node_bits = std::max(acc.stats.max_node_bits, node_bits_[v]);
     acc.stats.messages += 1;
     acc.stats.total_bits += cost;
-    if (record_events_) record(TraceEventKind::kSend, to, m, 0);
-    if (config_.record_activity) ++acc.activity;
+    if (record_trace_) record(TraceEventKind::kSend, to, m, 0);
 
     // Index of `v` in `to`'s adjacency list: a precomputed load, not a
     // binary search — this runs once per message.
@@ -442,9 +441,9 @@ void Engine::run_phases() {
       static_cast<std::uint32_t>(std::min<std::uint64_t>(threads_, n));
   for (ShardAccum& acc : accum_) acc.reset();
 
-  // Phases A+B fused, always inline: observers and traces are fed from the
-  // per-sender event buffers after the merge, so instrumentation never
-  // forces a serial accounting pass (the pre-§12 serialization cliff).
+  // Phases A+B fused, always inline: the trace is fed from the per-sender
+  // event buffers after the merge, so instrumentation never forces a serial
+  // accounting pass.
   const auto shard_body = [&](unsigned s) {
     const NodeId lo = static_cast<NodeId>(std::uint64_t{n} * s / shards);
     const NodeId hi = static_cast<NodeId>(std::uint64_t{n} * (s + 1) / shards);
@@ -461,24 +460,21 @@ void Engine::run_phases() {
   // histograms sum per value, so the merged RunStats and metrics are
   // independent of the shard partition — the determinism contract across
   // thread counts.
-  std::uint64_t activity = 0;
   std::uint64_t round_messages = 0;
   for (const ShardAccum& acc : accum_) {
     accumulate(stats_, acc.stats);
-    activity += acc.activity;
     round_messages += acc.stats.messages;
     if (config_.metrics) config_.metrics->merge(acc.metrics);
   }
   if (config_.metrics) config_.metrics->round_activity.add(round_messages);
-  if (config_.record_activity && activity > 0) {
-    if (activity_.size() <= round_) activity_.resize(round_ + 1, 0);
-    activity_[round_] = activity;
-  }
+  // Indexed by round rather than appended, so a failed round that is
+  // stepped again overwrites its own slot.
+  activity_.resize(round_ + 1);
+  activity_[round_] = round_messages;
 
-  // Replay buffered events in global send order before error propagation:
-  // the serial engine surfaced observer callbacks for every accounted send
-  // of the failing round too.
-  if (record_events_) drain_node_events();
+  // Append buffered events in global send order before error propagation:
+  // the trace records every accounted send of the failing round too.
+  if (record_trace_) drain_node_events();
 
   // Rethrow the failure of the smallest node (shard ranges ascend, so the
   // first failed shard's record is the smallest; scan all for clarity). A
@@ -500,12 +496,7 @@ void Engine::drain_node_events() {
   // order, each sender's events in append order — the serial engine's
   // global send order.
   for (const ShardAccum& acc : accum_) {
-    for (const TraceEvent& ev : acc.events.span()) {
-      if (config_.send_observer && ev.kind == TraceEventKind::kSend) {
-        config_.send_observer(SendEvent{ev.node, ev.peer, ev.round, ev.msg});
-      }
-      if (record_trace_) config_.trace->append(ev);
-    }
+    for (const TraceEvent& ev : acc.events.span()) config_.trace->append(ev);
   }
 }
 

@@ -33,10 +33,10 @@
 // fixed node order, making every observable output (rounds, messages, bits,
 // per-edge loads, congestion errors, fault decisions, RunStats) bit-identical
 // at every thread count, including 1. Observability (DESIGN.md §12) rides the
-// same machinery: send observers, the structured TraceLog and EngineMetrics
-// histograms are collected per shard and merged/replayed in fixed sender
-// order, so instrumented runs keep both the parallel speedup and the
-// bit-identical-output contract.
+// same machinery: the structured TraceLog — the engine's one event stream —
+// and the EngineMetrics histograms are collected per shard and merged in
+// fixed sender order, so instrumented runs keep both the parallel speedup and
+// the bit-identical-output contract.
 //
 // Memory layout is flat (DESIGN.md §16): adjacency is the graph's CSR plus a
 // precomputed mirror-edge table (the receiver-side index of every directed
@@ -153,17 +153,6 @@ class Process {
   }
 };
 
-// One message send, as seen by EngineConfig::send_observer: the directed
-// edge, the round the send happened in, and the message itself. Observers
-// see every send (including ones later dropped by a fault plan) — they watch
-// the protocol, not the wire.
-struct SendEvent {
-  NodeId from = 0;
-  NodeId to = 0;
-  std::uint64_t round = 0;
-  Message msg;
-};
-
 // Engine-collected load distributions (attach via EngineConfig::metrics).
 // Samples are exact integers (util/metrics.h); collection is per-shard with
 // a commutative merge in fixed shard order, so contents are identical at
@@ -191,9 +180,6 @@ struct EngineConfig {
   bool enforce_bandwidth = true;
   // Safety valve: run() throws RoundLimitError beyond this many rounds.
   std::uint64_t max_rounds = 0;  // 0 = default 64*n + 1024
-  // Record the number of messages sent in each round (round_activity()),
-  // e.g. to plot a protocol's phase structure.
-  bool record_activity = false;
 
   // Workers for the per-round node loop. 1 (default) steps nodes on the
   // calling thread; k > 1 shards the nodes across k workers (the caller plus
@@ -218,22 +204,16 @@ struct EngineConfig {
       std::function<std::unique_ptr<Process>(NodeId, std::unique_ptr<Process>)>;
   ProcessWrapper process_wrapper;
 
-  // Optional per-send observer, e.g. core/certify.h's FloodCongestionMonitor
-  // checking Lemma 1's zero-congestion invariant at runtime. Sees every send
-  // after payload validation, before any fault decision. Events are collected
-  // per shard during the parallel phases and replayed serially after the
-  // round's merge in the serial engine's global order (round-major, then
-  // sender-major, then send order) — installing an observer no longer forces
-  // a serial accounting pass (DESIGN.md §12), and the observed stream is
-  // identical at every thread count.
-  using SendObserver = std::function<void(const SendEvent&)>;
-  SendObserver send_observer;
-
-  // Optional structured event log (congest/trace.h): sends, deliveries,
-  // fault fates (drop/delay/duplicate), crashes, NeighborDown verdicts and
-  // kFrontier progress, in the same deterministic order as send_observer.
-  // Caller-owned and NOT cleared by init(), so multi-phase protocols share
-  // one log; clear() it between unrelated runs. Must outlive the engine.
+  // Optional structured event log (congest/trace.h) — the engine's only
+  // event channel: sends (every send after payload validation, before any
+  // fault decision), deliveries, fault fates (drop/delay/duplicate/corrupt),
+  // crashes, NeighborDown verdicts and kFrontier progress. Events are
+  // buffered per shard only while a log is attached and appended in the
+  // serial engine's global order (round-major, then sender-major, then send
+  // order), identical at every thread count (DESIGN.md §12). Lemma 1 is
+  // checked over it by max_sends_per_edge_round(). Caller-owned and NOT
+  // cleared by init(), so multi-phase protocols share one log; clear() it
+  // between unrelated runs. Must outlive the engine.
   TraceLog* trace = nullptr;
 
   // Optional histogram sink for per-(edge, round) load and per-round
@@ -270,15 +250,6 @@ struct RunStats {
   // Failure-detector verdicts: NeighborDown declarations made by delivery
   // layers (one per directed edge that went silent past suspect_after).
   std::uint64_t neighbors_suspected = 0;
-
-  // Service-mode health (core/service.h; zero outside service runs).
-  // repairs_attempted counts repair_apsp invocations folded into these stats;
-  // repairs_escalated counts the subset that were full-recompute escalations
-  // (oversized dirty region, exhausted retries, or watchdog trips);
-  // checkpoint_bytes totals the serialized checkpoint blobs written.
-  std::uint64_t repairs_attempted = 0;
-  std::uint64_t repairs_escalated = 0;
-  std::uint64_t checkpoint_bytes = 0;
 
   // One-line human-readable rendering, e.g. for benches and examples.
   std::string debug_string() const;
@@ -364,7 +335,9 @@ class Engine {
   // stats. The engine is left at the round where the run stopped.
   Outcome run_bounded();
 
-  // Messages sent per round (only populated with config.record_activity).
+  // Messages sent in each executed round (index = round), recorded always:
+  // the merged per-round share of RunStats::messages, e.g. to plot a
+  // protocol's phase structure.
   const std::vector<std::uint64_t>& round_activity() const {
     return activity_;
   }
@@ -411,9 +384,8 @@ class Engine {
   // so adjacent shards' counters never false-share while the parallel phase
   // hammers them.
   struct alignas(kCacheLineBytes) ShardAccum {
-    RunStats stats;             // deltas only: counters and per-round maxima
-    std::uint64_t activity = 0;  // sends this round (record_activity)
-    EngineMetrics metrics;       // this round's samples (config.metrics only)
+    RunStats stats;         // deltas only: counters and per-round maxima
+    EngineMetrics metrics;  // this round's samples (config.metrics only)
     // Distinct directed edges the current node touched this round — scratch
     // of account_node(), drained into `metrics` after the node's outbox.
     std::vector<std::size_t> touched_edges;
@@ -433,7 +405,6 @@ class Engine {
     std::exception_ptr error;
     void reset() {
       stats = RunStats{};
-      activity = 0;
       metrics.clear();
       touched_edges.clear();
       outbox.reset();
@@ -459,9 +430,9 @@ class Engine {
   void step();  // executes one round
   // Phase A: one node's on_round() against the frozen inbox frame; sends are
   // buffered into the shard's outbox arena. Exceptions are captured into
-  // `acc`. Phase B (account_node) runs fused, inline, for every node —
-  // observers and traces are fed from the buffered events afterwards, never
-  // by serializing this.
+  // `acc`. Phase B (account_node) runs fused, inline, for every node — the
+  // trace is fed from the buffered events afterwards, never by serializing
+  // this.
   void run_node(NodeId v, ShardAccum& acc);
   // Phase B: bandwidth accounting + fault resolution for the node's buffered
   // outbox. Only sender-owned state (edge/node counters of v's directed
@@ -473,9 +444,8 @@ class Engine {
   // ascending sender order, then swap frames.
   void deliver_round();
   void run_phases();  // A+B across shards, merge, error propagation
-  // Replays the per-shard event arenas in shard order (= ascending sender
-  // order) into the send observer and the trace log — the serial engine's
-  // global send order.
+  // Appends the per-shard event arenas in shard order (= ascending sender
+  // order) to the trace log — the serial engine's global send order.
   void drain_node_events();
   void apply_crashes();
   bool quiescent() const;
@@ -499,8 +469,7 @@ class Engine {
   std::vector<ShardAccum> accum_;
   std::unique_ptr<WorkerPool> pool_;  // engaged when threads_ > 1
 
-  bool record_events_ = false;  // send_observer or trace attached
-  bool record_trace_ = false;   // trace attached
+  bool record_trace_ = false;  // trace attached
 
   // Per directed edge: bits sent this round (lazy-reset via round stamps).
   // Directed edge index = graph offsets[u] + neighbor_index. 64-bit so that

@@ -17,9 +17,11 @@
 // appended directly, at fixed points of the round, so they land at the same
 // stream positions regardless of thread count.
 //
-// The same merged stream drives EngineConfig::send_observer, which therefore
-// no longer forces a serial accounting pass (the pre-§12 serialization
-// cliff): observers see kSend events replayed in the order above.
+// This log is the engine's only event channel: events are buffered only
+// while one is attached, and consumers (e.g. the Lemma 1 check
+// max_sends_per_edge_round below) read the recorded stream after the run.
+// Per-round message totals need no log — Engine::round_activity() keeps
+// them always.
 //
 // Exporters: Chrome-trace JSON (load into chrome://tracing or Perfetto; one
 // lane per node, or one lane per flood source for kApspFlood/kSspToken/

@@ -184,61 +184,4 @@ CertifyReport certify_rows(const Graph& g,
   return report;
 }
 
-// ---------------------------------------------------------------------------
-
-struct FloodCongestionMonitor::State {
-  const Graph* g = nullptr;
-  std::vector<std::size_t> offsets;     // directed-edge indexing
-  std::vector<std::uint64_t> stamp;     // round of the last flood per edge
-  std::uint64_t flood_sends = 0;
-  std::uint64_t violations = 0;
-
-  void observe(NodeId from, NodeId to, std::uint64_t round,
-               std::uint8_t msg_kind) {
-    if (msg_kind != kApspFlood) return;
-    ++flood_sends;
-    const auto idx = g->neighbor_index(from, to);
-    const std::size_t edge = offsets[from] + (idx ? *idx : 0);
-    if (stamp[edge] == round) {
-      ++violations;  // a second flood on this edge in this round: Lemma 1
-    } else {
-      stamp[edge] = round;
-    }
-  }
-};
-
-FloodCongestionMonitor::FloodCongestionMonitor(const Graph& g)
-    : state_(std::make_shared<State>()) {
-  state_->g = &g;
-  const NodeId n = g.num_nodes();
-  state_->offsets.assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    state_->offsets[v + 1] = state_->offsets[v] + g.degree(v);
-  }
-  state_->stamp.assign(state_->offsets[n], ~std::uint64_t{0});
-}
-
-congest::EngineConfig::SendObserver FloodCongestionMonitor::hook() const {
-  auto st = state_;
-  return [st](const congest::SendEvent& ev) {
-    st->observe(ev.from, ev.to, ev.round, ev.msg.kind);
-  };
-}
-
-void FloodCongestionMonitor::scan(
-    std::span<const congest::TraceEvent> events) {
-  for (const congest::TraceEvent& ev : events) {
-    if (ev.kind != congest::TraceEventKind::kSend) continue;
-    state_->observe(ev.node, ev.peer, ev.round, ev.msg.kind);
-  }
-}
-
-std::uint64_t FloodCongestionMonitor::flood_sends() const noexcept {
-  return state_->flood_sends;
-}
-
-std::uint64_t FloodCongestionMonitor::violations() const noexcept {
-  return state_->violations;
-}
-
 }  // namespace dapsp::core

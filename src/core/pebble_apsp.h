@@ -74,9 +74,9 @@ struct ApspResult {
   bool aggregates_valid = false;
 
   congest::RunStats stats;
-  // Messages per round (populated when options.engine.record_activity):
-  // makes Algorithm 1's phase structure visible (tree build, pebble +
-  // staggered floods, aggregation).
+  // Messages per round (the engine's always-on per-round totals): makes
+  // Algorithm 1's phase structure visible (tree build, pebble + staggered
+  // floods, aggregation).
   std::vector<std::uint64_t> round_activity;
 };
 

@@ -19,10 +19,8 @@ congest::EngineConfig sanitized(const congest::EngineConfig& in) {
   congest::EngineConfig cfg = in;
   cfg.faults.reset();
   cfg.process_wrapper = nullptr;
-  cfg.send_observer = nullptr;
   cfg.trace = nullptr;
   cfg.metrics = nullptr;
-  cfg.record_activity = false;
   return cfg;
 }
 
@@ -121,7 +119,6 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
   }
   report.suspect_sources = suspects;
   report.rows_repaired = static_cast<std::uint32_t>(suspects.size());
-  report.stats.repairs_attempted = 1;
 
   // Supplied-empty fast path: nothing to repair, and with certify_all off
   // nothing to certify either — return a zero-cost report (the convergence

@@ -6,39 +6,22 @@
 #include <sstream>
 #include <utility>
 
+#include "util/journal.h"
 #include "util/rng.h"
 
 namespace dapsp::core {
 
 namespace {
 
-// SplitMix64 finalizer — the same keyed-stream construction the fault
-// injector and the service's jittered backoff use.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// Keyed per-request generator: independent streams per (seed, salt, id).
-Rng keyed_rng(std::uint64_t seed, std::uint64_t salt,
-              std::uint64_t id) noexcept {
-  std::uint64_t z = mix64(seed ^ (0x9e3779b97f4a7c15ULL * (salt + 1)));
-  z = mix64(z ^ (0xd1342543de82ef95ULL * (id + 1)));
-  return Rng(z);
-}
-
-// FNV-1a 64 over the 8 little-endian bytes of a word — the digest
-// accumulator for the completion stream.
+// Folds the 8 little-endian bytes of a word into the FNV-1a digest `h` —
+// the digest accumulator for the completion stream.
 std::uint64_t fnv1a64_u64(std::uint64_t h, std::uint64_t word) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
+  std::uint8_t bytes[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(word >> (8 * i));
   }
-  return h;
+  return fnv1a64(bytes, h);
 }
-
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
 }  // namespace
 
@@ -460,7 +443,7 @@ ExecResult execute_request(const QuerySnapshot& snap, const OverloadConfig& cfg,
   budget.limit = cfg.deadline_us == 0 ? 0 : cfg.deadline_us * kSimCellsPerUs;
   const bool brownout_served = level == BrownoutLevel::kEstimates &&
                                r.kind != 0 && snap.has_labels();
-  std::uint64_t payload = kFnvOffset;
+  std::uint64_t payload = kFnv1a64Offset;
   if (r.kind == 0) {
     // Interactive point-to-point batch: cfg.batch_pairs seeded endpoints.
     Rng pr = keyed_rng(cfg.seed, 0x70327062ULL, r.id);  // "p2pb"
@@ -575,7 +558,7 @@ SimReport run_overload_sim(const QuerySnapshot& snap, const OverloadConfig& cfg,
 
   SimReport rep;
   rep.offered = arrivals.size();
-  rep.digest = kFnvOffset;
+  rep.digest = kFnv1a64Offset;
   std::uint64_t start_seq = 0;
 
   const auto shed = [&](std::uint64_t id, PriorityClass cls,

@@ -120,13 +120,9 @@ CheckpointError classify_checkpoint_blob(
   }
   if (!fits(8)) return CheckpointError::kTruncated;  // checksum
   if (need != size) return CheckpointError::kChecksumMismatch;  // extra bytes
-  const std::span<const std::uint8_t> body = blob.first(blob.size() - 8);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : body) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
+  if (blob_checksum(blob.first(blob.size() - 8)) != read_u64(size - 8)) {
+    return CheckpointError::kChecksumMismatch;
   }
-  if (h != read_u64(size - 8)) return CheckpointError::kChecksumMismatch;
   return CheckpointError::kNone;
 }
 
@@ -152,26 +148,11 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
   return shifted;
 }
 
-namespace {
-
-// SplitMix64 finalizer — the same full-avalanche mix the fault injector
-// uses to key its per-(node, round) streams (congest/faults.cc).
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
                              std::uint64_t seed, std::uint64_t a,
                              std::uint64_t b) noexcept {
   if (hi <= lo) return lo;
-  std::uint64_t z = seed;
-  z = mix64(z ^ (0x9e3779b97f4a7c15ULL * (a + 1)));
-  z = mix64(z ^ (0xd1342543de82ef95ULL * (b + 1)));
-  return lo + Rng(z).below(hi - lo + 1);
+  return lo + keyed_rng(seed, a, b).below(hi - lo + 1);
 }
 
 std::uint64_t decorrelated_backoff_ms(std::uint64_t base_ms,
@@ -291,12 +272,14 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
     }
   }
 
+  std::vector<NodeId> rehop;  // this row's alternative-parent nodes
   for (NodeId s = 0; s < n; ++s) {
     if (!after.active(s)) continue;
     if (is_joined[s]) {
       dr.dirty.push_back(s);  // fresh row, always recomputed
       continue;
     }
+    rehop.clear();
     bool d = false;
     for (const Edge& e : dr.inserted) {
       const std::uint32_t a = dist.at(e.u, s), b = dist.at(e.v, s);
@@ -338,6 +321,7 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
           d = true;
           break;
         }
+        rehop.push_back(hi);
       }
     }
     if (!d) {
@@ -349,9 +333,12 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
           const std::uint32_t b = dist.at(y, s);
           // y's shortest path may have run through x — unless y kept
           // another parent at x's old distance.
-          if (b != kInfDist && b == a + 1 && !has_alt_parent(y, a)) {
-            d = true;
-            break;
+          if (b != kInfDist && b == a + 1) {
+            if (!has_alt_parent(y, a)) {
+              d = true;
+              break;
+            }
+            rehop.push_back(y);
           }
         }
       }
@@ -379,7 +366,11 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
         }
       }
     }
-    if (d) dr.dirty.push_back(s);
+    if (d) {
+      dr.dirty.push_back(s);
+    } else {
+      for (const NodeId v : rehop) dr.rehop.emplace_back(v, s);
+    }
   }
   return dr;
 }
@@ -422,6 +413,7 @@ DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
         rep.debug_string());
   }
   stats_.rows_repaired += rep.rows_repaired;
+  stats_.repairs_attempted += 1;
   congest::accumulate(stats_.run, rep.stats);
   std::vector<NodeId> rows(all);
   refresh_served(rows, RowStatus::kExact);
@@ -468,6 +460,36 @@ void DapspService::patch_join_entries(const DirtyReport& dr) {
       apsp_.dist.set(w, s, mn == kInfDist ? kInfDist : mn + 1);
       apsp_.next_hop[w][s] = arg;
     }
+  }
+}
+
+void DapspService::patch_stale_hops(const DirtyReport& dr) {
+  // A hop is valid when it names a live, pre-existing neighbor one step
+  // closer to s; joined nodes' old-table entries are meaningless until
+  // patch_join_entries runs.
+  const auto closer = [&](NodeId v, NodeId s, NodeId h) {
+    if (!graph_.has_edge(v, h) ||
+        std::binary_search(dr.joined.begin(), dr.joined.end(), h)) {
+      return false;
+    }
+    const std::uint32_t dh = apsp_.dist.at(h, s);
+    return dh != kInfDist && dh + 1 == apsp_.dist.at(v, s);
+  };
+  for (const auto& [v, s] : dr.rehop) {
+    const bool working_ok = closer(v, s, apsp_.next_hop[v][s]);
+    const bool served_ok = closer(v, s, served_next_hop_[v][s]);
+    if (working_ok && served_ok) continue;
+    // The analyzer's alternative parent: neighbors are sorted, so the first
+    // match is the smallest id.
+    NodeId hop = kNoNextHop;
+    for (const NodeId y : graph_.neighbors(v)) {
+      if (closer(v, s, y)) {
+        hop = y;
+        break;
+      }
+    }
+    if (!working_ok) apsp_.next_hop[v][s] = hop;
+    if (!served_ok) served_next_hop_[v][s] = hop;
   }
 }
 
@@ -548,7 +570,7 @@ void DapspService::run_repair_ladder(
     ++ep.attempts;
     if (rung.escalation) {
       ep.escalated = true;
-      ep.stats.repairs_escalated += 1;
+      stats_.repairs_escalated += 1;
     }
     RepairOptions ropts;
     ropts.engine = config_.engine;
@@ -559,6 +581,7 @@ void DapspService::run_repair_ladder(
     ropts.certify_all = rung.certify_all;
     try {
       const RepairReport rep = repair_apsp(snap, apsp_, ropts);
+      stats_.repairs_attempted += 1;
       congest::accumulate(ep.stats, rep.stats);
       if (!rep.all_certified()) continue;  // failed attempt: next rung
       ep.certified = true;
@@ -660,6 +683,9 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   const DirtyReport dr = analyze_dirty_rows(apsp_.dist, active_before,
                                             edges_before, graph_);
   for (const NodeId x : dr.left) zero_row(x);
+  // Distances of clean rows stand; their hops over lost links are fixed
+  // before anything is published.
+  patch_stale_hops(dr);
 
   // Suspects = the analyzed dirty set plus any rows still stale from failed
   // earlier epochs (or a restore) — staleness carries over until healed.
@@ -880,7 +906,7 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
   put_u64(b, blob_checksum(b));
 
   stats_.checkpoints += 1;
-  stats_.run.checkpoint_bytes += b.size();
+  stats_.checkpoint_bytes += b.size();
   return b;
 }
 
@@ -1003,6 +1029,10 @@ std::string ServiceStats::debug_string() const {
      << " suppressed=" << repairs_suppressed
      << " scrubs=" << scrubs << " checkpoints=" << checkpoints << " | "
      << run.debug_string();
+  // Print only when nonzero (the line's historical form).
+  if (repairs_attempted) os << " repairs=" << repairs_attempted;
+  if (repairs_escalated) os << " escalated=" << repairs_escalated;
+  if (checkpoint_bytes) os << " checkpoint_bytes=" << checkpoint_bytes;
   return std::move(os).str();
 }
 

@@ -30,6 +30,11 @@
 //     the post-batch graph (same argument; this also catches disconnections
 //     — the first node beyond a cut always has that boundary pattern). Row
 //     x itself is dead and gets zeroed;
+//   * a row kept clean by an alternative parent keeps its distances, but the
+//     downstream node's next hop may still point over the removed edge or
+//     into the left node: the analyzer lists those (node, row) cells and
+//     the service repoints each invalid hop to the smallest-id live
+//     neighbor one step closer to the source, in both tables;
 //   * joined node w with attachment frontier F: row w is always recomputed.
 //     For another row s, paths through w can only shortcut between frontier
 //     nodes, so the row changes iff some y in F has D_s(y) > min_F D_s + 2
@@ -126,9 +131,9 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
                                std::uint64_t exp) noexcept;
 
 // One decorrelated-jitter draw: uniform in [lo, hi] inclusive, deterministic
-// from the (seed, a, b) key — the same keyed-stream construction as the
-// fault injector's per-(node, round) RNG streams (congest/faults.cc), so
-// adjacent keys share no affine structure. lo > hi answers lo.
+// from the (seed, a, b) key — drawn from keyed_rng (util/rng.h), the stream
+// the fault injector keys per (node, round), so adjacent keys share no
+// affine structure. lo > hi answers lo.
 std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
                              std::uint64_t seed, std::uint64_t a,
                              std::uint64_t b) noexcept;
@@ -169,6 +174,11 @@ struct DirtyReport {
   std::vector<NodeId> left;       // newly inactive (leaves and crashes)
   std::vector<Edge> inserted;     // added edges between pre-existing actives
   std::vector<Edge> removed;      // removed edges between still-active nodes
+
+  // (node, row) cells of clean rows whose node kept its distance only
+  // through an alternative parent: its next hop may name the lost edge's
+  // other end or the left node, and must be checked against the new graph.
+  std::vector<std::pair<NodeId, NodeId>> rehop;
 };
 
 // Screens a batch against the previous (certified) distance table. `dist` is
@@ -232,10 +242,15 @@ struct ServiceStats {
   // also a kBreaker trace event).
   std::uint64_t repairs_suppressed = 0;
   std::uint64_t breaker_transitions = 0;
+  // repair_apsp runs that returned (the initial build included; watchdog
+  // trips are not counted), full-recompute rungs entered (oversized dirty
+  // region, exhausted retries, or watchdog trips), and the bytes of every
+  // serialized checkpoint blob.
+  std::uint64_t repairs_attempted = 0;
+  std::uint64_t repairs_escalated = 0;
+  std::uint64_t checkpoint_bytes = 0;
 
-  // Accumulated engine stats over every repair/certify run, including the
-  // service counters (repairs_attempted / repairs_escalated /
-  // checkpoint_bytes) surfaced in RunStats::debug_string().
+  // Accumulated engine stats over every repair/certify run.
   congest::RunStats run;
 
   std::string debug_string() const;
@@ -389,7 +404,7 @@ class DapspService {
 
   // Serializes the full service state (see header; excludes stats) plus the
   // caller's words (e.g. DeltaPlan rng state + batch counter). Counts the
-  // blob size into stats().run.checkpoint_bytes.
+  // blob size into stats().checkpoint_bytes.
   void checkpoint(std::ostream& out,
                   std::span<const std::uint64_t> user_words = {});
   std::vector<std::uint8_t> checkpoint_blob(
@@ -421,6 +436,9 @@ class DapspService {
   void zero_row(NodeId x);
   // Direct-patch entry (w, s) of clean rows for a joined node (see header).
   void patch_join_entries(const DirtyReport& dr);
+  // Repoints the next hops of dr.rehop cells that no longer name a live
+  // neighbor one step closer to the source, in working and served tables.
+  void patch_stale_hops(const DirtyReport& dr);
   // The repair ladder shared by step() and scrub(). `suspects` nullopt =
   // detection mode for the first rung. Fills the report's repair fields.
   void run_repair_ladder(std::optional<std::vector<NodeId>> suspects,

@@ -8,8 +8,8 @@
 
 namespace dapsp {
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
+                      std::uint64_t h) noexcept {
   for (const std::uint8_t b : bytes) {
     h ^= b;
     h *= 0x100000001b3ULL;

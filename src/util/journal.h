@@ -44,9 +44,14 @@
 
 namespace dapsp {
 
-// FNV-1a 64-bit over `bytes` — the checksum used by journal records and
-// service checkpoints.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept;
+// FNV-1a 64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+
+// FNV-1a 64-bit over `bytes`, continuing from `h` (default: a fresh hash) —
+// the repo's one hash: journal records, service checkpoints, DQRY snapshots
+// and the overload simulator's completion digest.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
+                      std::uint64_t h = kFnv1a64Offset) noexcept;
 
 // Little-endian append helpers shared by every serializer in the repo.
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);

@@ -11,6 +11,13 @@
 
 namespace dapsp {
 
+// SplitMix64 finalizer: a full-avalanche 64-bit mix (Rng's output step).
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 // SplitMix64: tiny, fast, statistically solid generator used to seed and to
 // drive all randomness in the library. Satisfies UniformRandomBitGenerator.
 class Rng {
@@ -25,10 +32,7 @@ class Rng {
   }
 
   result_type operator()() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return mix64(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
   // Uniform integer in [0, bound). Requires bound > 0.
@@ -54,6 +58,18 @@ class Rng {
  private:
   std::uint64_t state_;
 };
+
+// An independent stream keyed by (seed, a, b): one finalization round per
+// key component, each with its own odd multiplier, so streams of adjacent
+// keys share no affine structure. Keys the fault injector's per-(node,
+// round) decisions, the service's backoff jitter and the overload
+// simulator's per-request draws.
+inline Rng keyed_rng(std::uint64_t seed, std::uint64_t a,
+                     std::uint64_t b) noexcept {
+  std::uint64_t z = mix64(seed ^ (0x9e3779b97f4a7c15ULL * (a + 1)));
+  z = mix64(z ^ (0xd1342543de82ef95ULL * (b + 1)));
+  return Rng(z);
+}
 
 // In-place Fisher-Yates shuffle.
 template <typename T>

@@ -271,17 +271,19 @@ TEST(Certify, RejectsMalformedInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// The Lemma 1 congestion monitor
+// Lemma 1 over the engine's event stream: max_sends_per_edge_round() is 1
+// when floods ran and none collided, 2 or more on a violation.
 
 TEST(FloodMonitor, FaultFreePebbleRunHasZeroViolations) {
   for (const Graph& g : test_families()) {
-    FloodCongestionMonitor monitor(g);
+    congest::TraceLog trace;
     ApspOptions opt;
-    opt.engine.send_observer = monitor.hook();
+    opt.engine.trace = &trace;
     const auto r = run_pebble_apsp(g, opt);
     ASSERT_EQ(r.status, congest::RunStatus::kCompleted);
-    EXPECT_GT(monitor.flood_sends(), 0u) << g.summary();
-    EXPECT_EQ(monitor.violations(), 0u) << g.summary();
+    EXPECT_EQ(congest::max_sends_per_edge_round(trace.events(), kApspFlood),
+              1u)
+        << g.summary();
   }
 }
 
@@ -303,15 +305,15 @@ TEST(FloodMonitor, DetectsSyntheticDoubleFlood) {
     bool done_ = false;
   };
   const Graph g = gen::path(2);
-  FloodCongestionMonitor monitor(g);
+  congest::TraceLog trace;
   congest::EngineConfig cfg;
-  cfg.bandwidth_ids = 8;  // room for both sends; the monitor, not B, judges
-  cfg.send_observer = monitor.hook();
+  cfg.bandwidth_ids = 8;  // room for both sends; the trace, not B, judges
+  cfg.trace = &trace;
   congest::Engine e(g, cfg);
   e.init([](NodeId) { return std::make_unique<DoubleFlooder>(); });
   e.run();
-  EXPECT_EQ(monitor.flood_sends(), 2u);
-  EXPECT_EQ(monitor.violations(), 1u);
+  EXPECT_EQ(congest::max_sends_per_edge_round(trace.events(), kApspFlood),
+            2u);
 }
 
 }  // namespace

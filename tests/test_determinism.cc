@@ -2,7 +2,7 @@
 // observable output — harvested tables, aggregates, and the full RunStats
 // line (messages, bits, per-edge/node maxima, fault counters) — is
 // byte-identical at every EngineConfig::threads value, on fault-free and
-// faulty runs alike, with and without the reliable layer and send observers.
+// faulty runs alike, with and without the reliable layer and a trace.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -252,29 +252,6 @@ TEST(Determinism, RepairCampaignAcrossThreadCounts) {
     ASSERT_EQ(std::get<1>(run), std::get<1>(ref)) << "threads=" << t;
     ASSERT_EQ(std::get<2>(run), std::get<2>(ref)) << "threads=" << t;
   }
-}
-
-// --- The send-observer path (serial phase-B accounting) -----------------
-
-TEST(Determinism, ObserverSeesGlobalSendOrderAtEveryThreadCount) {
-  const Graph g = gen::grid(4, 4);
-  std::vector<std::string> traces;
-  for (const std::uint32_t t : kThreadCounts) {
-    std::string trace;
-    EngineConfig cfg;
-    cfg.threads = t;
-    cfg.send_observer = [&trace](const SendEvent& ev) {
-      trace += std::to_string(ev.round) + ":" + std::to_string(ev.from) +
-               ">" + std::to_string(ev.to) + ";";
-    };
-    Engine e(g, cfg);
-    e.init([](NodeId v) { return std::make_unique<Flood>(v); });
-    const RunStats stats = e.run();
-    trace += "|" + stats.debug_string();
-    traces.push_back(std::move(trace));
-  }
-  ASSERT_EQ(traces[0], traces[1]);
-  ASSERT_EQ(traces[0], traces[2]);
 }
 
 // Errors must not depend on the shard partition: the congestion violation of

@@ -10,8 +10,9 @@
 //
 //   * statuses, error strings, every RunStats counter, and the harvested
 //     per-node protocol state must match the reference exactly;
-//   * the send-observer stream (round-major, sender-major, send order) must
-//     be byte-identical to the reference's serial stream;
+//   * the send stream — the kSend subsequence of the production engine's
+//     trace (round-major, sender-major, send order) — must be byte-identical
+//     to the kSend events the reference appends serially;
 //   * congestion / field-width / round-limit error paths must surface the
 //     same error text from the same node;
 //   * the reliable-delivery wrapper must behave identically on both.
@@ -108,7 +109,7 @@ struct Digest {
   std::string status;
   std::string stats;
   std::vector<std::string> harvest;
-  std::string observed;  // send-observer stream
+  std::string observed;  // kSend events of the run's trace
 
   bool operator==(const Digest&) const = default;
 };
@@ -127,41 +128,42 @@ std::string harvest_process(Protocol p, Process& proc) {
   return dynamic_cast<const Gossip&>(proc.underlying()).harvest();
 }
 
-EngineConfig with_observer(EngineConfig cfg, std::string* sink) {
-  cfg.send_observer = [sink](const SendEvent& ev) {
-    *sink += std::to_string(ev.round) + ":" + std::to_string(ev.from) + ">" +
-             std::to_string(ev.to) + "." + std::to_string(ev.msg.kind) + ";";
-  };
-  return cfg;
+// The kSend subsequence of a trace, one "round:from>to.kind;" per send.
+std::string send_stream(const TraceLog& trace) {
+  std::string out;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.kind != TraceEventKind::kSend) continue;
+    out += std::to_string(ev.round) + ":" + std::to_string(ev.node) + ">" +
+           std::to_string(ev.peer) + "." + std::to_string(ev.msg.kind) + ";";
+  }
+  return out;
+}
+
+template <typename Eng>
+Digest run_traced(const Graph& g, EngineConfig cfg, Protocol p) {
+  TraceLog trace;
+  cfg.trace = &trace;
+  Eng eng(g, cfg);
+  eng.init([&](NodeId v) { return make_process(p, v); });
+  const Outcome out = eng.run_bounded();
+  Digest d;
+  d.status = std::string(to_string(out.status)) + "|" + out.message;
+  d.stats = out.stats.debug_string();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    d.harvest.push_back(harvest_process(p, eng.process(v)));
+  }
+  d.observed = send_stream(trace);
+  return d;
 }
 
 Digest run_reference(const Graph& g, const EngineConfig& cfg, Protocol p) {
-  Digest d;
-  dapsp::testing::ReferenceEngine eng(g, with_observer(cfg, &d.observed));
-  eng.init([&](NodeId v) { return make_process(p, v); });
-  const Outcome out = eng.run_bounded();
-  d.status = std::string(to_string(out.status)) + "|" + out.message;
-  d.stats = out.stats.debug_string();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    d.harvest.push_back(harvest_process(p, eng.process(v)));
-  }
-  return d;
+  return run_traced<dapsp::testing::ReferenceEngine>(g, cfg, p);
 }
 
-Digest run_flat(const Graph& g, const EngineConfig& cfg, Protocol p,
+Digest run_flat(const Graph& g, EngineConfig cfg, Protocol p,
                 std::uint32_t threads) {
-  Digest d;
-  EngineConfig run_cfg = with_observer(cfg, &d.observed);
-  run_cfg.threads = threads;
-  Engine eng(g, run_cfg);
-  eng.init([&](NodeId v) { return make_process(p, v); });
-  const Outcome out = eng.run_bounded();
-  d.status = std::string(to_string(out.status)) + "|" + out.message;
-  d.stats = out.stats.debug_string();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    d.harvest.push_back(harvest_process(p, eng.process(v)));
-  }
-  return d;
+  cfg.threads = threads;
+  return run_traced<Engine>(g, cfg, p);
 }
 
 // Seeded instance space: graph shape, fault plan, protocol all derived from

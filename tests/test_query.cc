@@ -108,13 +108,19 @@ std::size_t validate_snapshot(const QuerySnapshot& snap,
       EXPECT_EQ(a.dist, oracle.at(u, v))
           << "status " << to_string(a.status) << " overclaims for (" << u
           << ", " << v << ") at epoch " << snap.epoch();
-      if (u != v && a.dist != kInfDist) {
-        // RowStatus certifies *distances*; on distance-clean rows the
-        // stored hop can go stale under churn (a crash or removal reroutes
-        // an equal-length path without perturbing any certified distance).
-        // Hop path-consistency is asserted where it is guaranteed — see
-        // QueryBlob.FreshServiceHopsAdvanceThePath — here only presence.
-        if (expect_hops) EXPECT_NE(a.next_hop, kNoNextHop);
+      if (expect_hops && u != v && a.dist != kInfDist) {
+        // The local hop rule, which chains into path consistency: the hop
+        // is a live neighbor (oracle distance 1) one step closer to v.
+        if (a.next_hop >= n) {
+          ADD_FAILURE() << "no hop for (" << u << ", " << v << ")";
+          continue;
+        }
+        EXPECT_EQ(oracle.at(u, a.next_hop), 1u)
+            << "hop " << u << "->" << a.next_hop << " toward " << v
+            << " is not a live edge at epoch " << snap.epoch();
+        EXPECT_EQ(oracle.at(a.next_hop, v) + 1, a.dist)
+            << "hop " << u << "->" << a.next_hop << " toward " << v
+            << " does not advance at epoch " << snap.epoch();
       }
     }
     // One k-nearest and one eccentricity probe per row, against the naive

@@ -205,7 +205,7 @@ TEST(Repair, EmptyExternalSuspectSetIsZeroCost) {
   EXPECT_EQ(report.repair_rounds, 0u);
   EXPECT_EQ(report.stats.rounds, 0u);
   EXPECT_EQ(report.stats.messages, 0u);
-  EXPECT_EQ(report.stats.repairs_attempted, 1u);
+  EXPECT_EQ(report.stats.total_bits, 0u);
   EXPECT_TRUE(report.all_certified());
   EXPECT_TRUE(r.dist == before);
   EXPECT_EQ(report.coverage_after.count(

@@ -302,6 +302,38 @@ void expect_oracle_exact(const DapspService& svc) {
   EXPECT_TRUE(svc.fully_certified());
 }
 
+// Every route of every non-stale row, followed hop by hop through both the
+// working and the served next-hop tables, runs over live edges and is as
+// long as the BFS distance.
+void expect_live_routes(const DapspService& svc, std::uint64_t epoch) {
+  const DynamicGraph& dg = svc.dynamic_graph();
+  const DistanceMatrix truth = oracle_table(dg);
+  const NodeId n = dg.universe();
+  const auto follow = [&](const std::vector<std::vector<NodeId>>& hops,
+                          const char* table) {
+    for (NodeId s = 0; s < n; ++s) {
+      if (!dg.active(s) || svc.row_status(s) == RowStatus::kStale) continue;
+      for (NodeId v = 0; v < n; ++v) {
+        if (v == s || !dg.active(v) || truth.at(v, s) == kInfDist) continue;
+        NodeId x = v;
+        std::uint32_t len = 0;
+        while (x != s) {
+          const NodeId h = hops[x][s];
+          ASSERT_TRUE(h < n && dg.has_edge(x, h))
+              << table << " epoch " << epoch << " row " << s << " from " << v
+              << ": hop " << x << "->" << h << " is not a live edge";
+          ASSERT_LT(++len, n) << table << " row " << s << ": routing loop";
+          x = h;
+        }
+        ASSERT_EQ(len, truth.at(v, s))
+            << table << " epoch " << epoch << " row " << s << " from " << v;
+      }
+    }
+  };
+  follow(svc.tables().next_hop, "working");
+  follow(svc.served_next_hop(), "served");
+}
+
 TEST(Service, ServesOracleExactTablesThroughEveryEpoch) {
   const Graph g = gen::random_connected(14, 12, 5);
   DapspService svc(g, {});
@@ -317,10 +349,42 @@ TEST(Service, ServesOracleExactTablesThroughEveryEpoch) {
     ASSERT_TRUE(ep.certified) << ep.debug_string();
     ASSERT_TRUE(ep.bound_ok) << ep.debug_string();
     expect_oracle_exact(svc);
+    expect_live_routes(svc, svc.epoch());
   }
   EXPECT_EQ(svc.stats().epochs, 60u);
   EXPECT_EQ(svc.stats().epochs_failed, 0u);
-  EXPECT_GT(svc.stats().run.repairs_attempted, 0u);
+  EXPECT_GT(svc.stats().repairs_attempted, 0u);
+}
+
+// An edge removal (or a leave) that leaves the downstream node another
+// parent at the same distance keeps its row clean — but the node's next hop
+// pointed over the lost link and must be repointed.
+TEST(Service, CleanRowsRouteOverLiveEdgesOnly) {
+  DapspService svc(gen::random_connected(128, 384, 42), {});
+  DeltaPlanConfig pc;
+  pc.seed = 7;
+  pc.w_join = 0;
+  pc.w_leave = 0;
+  DeltaPlan plan(pc);
+  for (std::uint64_t epoch = 1; epoch <= 4; ++epoch) {
+    const EpochReport ep = svc.step(plan.next(svc.dynamic_graph()));
+    ASSERT_TRUE(ep.certified) << ep.debug_string();
+    expect_live_routes(svc, epoch);
+  }
+
+  // Leaves and crashes take the boundary rule's path.
+  DapspService churned(gen::random_connected(48, 96, 3), {});
+  DeltaPlanConfig lc;
+  lc.seed = 11;
+  lc.w_join = 0;
+  lc.crash_prob = 0.2;
+  lc.min_active = 24;
+  DeltaPlan leaves(lc);
+  for (std::uint64_t epoch = 1; epoch <= 30; ++epoch) {
+    const EpochReport ep = churned.step(leaves.next(churned.dynamic_graph()));
+    ASSERT_TRUE(ep.certified) << ep.debug_string();
+    expect_live_routes(churned, epoch);
+  }
 }
 
 TEST(Service, CleanEpochRunsNoProtocol) {
@@ -344,7 +408,7 @@ TEST(Service, OversizedDirtyRegionEscalates) {
   EXPECT_EQ(ep.outcome, EpochOutcome::kEscalated);
   EXPECT_TRUE(ep.certified);
   EXPECT_EQ(ep.attempts, 1u);
-  EXPECT_EQ(svc.stats().run.repairs_escalated, 1u);
+  EXPECT_EQ(svc.stats().repairs_escalated, 1u);
   expect_oracle_exact(svc);
   for (NodeId s = 0; s < 10; ++s) {
     EXPECT_EQ(svc.row_status(s), RowStatus::kExact);
@@ -421,7 +485,7 @@ TEST(Service, CheckpointRestoreRoundTripsBitIdentically) {
   std::ostringstream out;
   svc.checkpoint(out, words);
   EXPECT_EQ(svc.stats().checkpoints, 1u);
-  EXPECT_GT(svc.stats().run.checkpoint_bytes, 0u);
+  EXPECT_GT(svc.stats().checkpoint_bytes, 0u);
 
   std::istringstream in(out.str());
   std::vector<std::uint64_t> restored_words;
@@ -844,10 +908,9 @@ TEST(Service, CountersSurfaceInDebugStrings) {
   ChurnBatch b;
   b.deltas.push_back({DeltaKind::kEdgeInsert, 0, 8});
   svc.step(b);
-  const std::string run = svc.stats().run.debug_string();
-  EXPECT_NE(run.find("repairs="), std::string::npos);
-  EXPECT_NE(run.find("checkpoint_bytes="), std::string::npos);
   const std::string s = svc.stats().debug_string();
+  EXPECT_NE(s.find("repairs="), std::string::npos);
+  EXPECT_NE(s.find("checkpoint_bytes="), std::string::npos);
   EXPECT_NE(s.find("epochs=1"), std::string::npos);  // ctor counts no epoch
   EXPECT_EQ(std::string(to_string(RowStatus::kRepaired)), "repaired");
   EXPECT_EQ(std::string(to_string(EpochOutcome::kEscalated)), "escalated");

@@ -15,7 +15,6 @@
 #include "congest/faults.h"
 #include "congest/reliable.h"
 #include "congest/trace.h"
-#include "core/certify.h"
 #include "core/pebble_apsp.h"
 #include "core/primitives/bfs_process.h"
 #include "graph/generators.h"
@@ -171,35 +170,6 @@ TEST(TraceDeterminism, FaultyRunsAcrossThreadCounts) {
   }
 }
 
-// The send observer and the trace consume the same merged stream: replaying
-// the log's kSend events reproduces the observer's transcript exactly.
-TEST(TraceDeterminism, ObserverAndTraceSeeTheSameSendStream) {
-  const Graph g = gen::grid(4, 4);
-  for (const std::uint32_t t : kThreadCounts) {
-    TraceLog trace;
-    std::string observed;
-    EngineConfig cfg = lossy_config();
-    cfg.threads = t;
-    cfg.max_rounds = 200000;
-    cfg.trace = &trace;
-    cfg.send_observer = [&observed](const SendEvent& ev) {
-      observed += std::to_string(ev.round) + ":" + std::to_string(ev.from) +
-                  ">" + std::to_string(ev.to) + ";";
-    };
-    Engine e(g, cfg);
-    e.init([](NodeId v) { return std::make_unique<Flood>(v); });
-    e.run_bounded();
-    std::string replayed;
-    for (const TraceEvent& ev : trace.events()) {
-      if (ev.kind != TraceEventKind::kSend) continue;
-      replayed += std::to_string(ev.round) + ":" + std::to_string(ev.node) +
-                  ">" + std::to_string(ev.peer) + ";";
-    }
-    ASSERT_FALSE(observed.empty()) << "threads=" << t;
-    ASSERT_EQ(replayed, observed) << "threads=" << t;
-  }
-}
-
 // --- Event semantics ----------------------------------------------------
 
 TEST(TraceEvents, FaultyRunRecordsTransportFates) {
@@ -305,24 +275,6 @@ TEST(TraceLemma1, PebbleApspFloodsNeverCollideOnAnEdge) {
     EXPECT_EQ(activity_sum, r.stats.messages) << g.summary();
     EXPECT_EQ(metrics.round_activity.total(), r.stats.rounds) << g.summary();
   }
-}
-
-// FloodCongestionMonitor::scan over a recorded trace must agree with the
-// live hook fed by the engine's replay.
-TEST(TraceLemma1, MonitorScanMatchesLiveHook) {
-  const Graph g = gen::random_connected(32, 64, 7);
-  TraceLog trace;
-  core::FloodCongestionMonitor live(g);
-  core::ApspOptions opt;
-  opt.engine.trace = &trace;
-  opt.engine.send_observer = live.hook();
-  core::run_pebble_apsp(g, opt);
-  core::FloodCongestionMonitor offline(g);
-  offline.scan(trace.events());
-  EXPECT_GT(live.flood_sends(), 0u);
-  EXPECT_EQ(offline.flood_sends(), live.flood_sends());
-  EXPECT_EQ(offline.violations(), live.violations());
-  EXPECT_EQ(live.violations(), 0u);
 }
 
 // --- Exporters ----------------------------------------------------------

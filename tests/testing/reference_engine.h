@@ -20,10 +20,12 @@
 //     smallest-node / accounting-supersedes-phase-A error selection;
 //   * every RunStats counter, fault fates drawn from the same streams, and
 //     crash/stall inbox-drop accounting;
-//   * the send-observer stream (round-major, sender-major, send order).
+//   * the send stream: one kSend TraceEvent per accounted send, appended to
+//     config.trace (round-major, sender-major, send order).
 //
 // Not reproduced (compare via the production engine's own thread-count
-// determinism instead): TraceLog contents, EngineMetrics, round_activity.
+// determinism instead): the trace's other event kinds, EngineMetrics,
+// round_activity.
 #pragma once
 
 #include <algorithm>
@@ -245,8 +247,9 @@ class ReferenceEngine {
         stats_.max_node_bits = std::max(stats_.max_node_bits, node_bits);
         stats_.messages += 1;
         stats_.total_bits += cost;
-        if (config_.send_observer) {
-          config_.send_observer(congest::SendEvent{v, to, round_, m});
+        if (config_.trace != nullptr) {
+          config_.trace->append({congest::TraceEventKind::kSend, v, to, round_,
+                                 0, m});
         }
         const congest::Received rec{*graph_->neighbor_index(to, v), m};
         if (faults_) {
