@@ -15,7 +15,6 @@
 //
 // With no -g, the graph is read from stdin.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -40,6 +39,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "util/metrics.h"
+#include "cli_args.h"
 
 using namespace dapsp;
 
@@ -69,6 +69,8 @@ struct Args {
   std::vector<congest::NodeCrash> crashes;
   bool repair = false;
 };
+
+}  // namespace
 
 [[noreturn]] void usage() {
   std::fprintf(
@@ -106,6 +108,8 @@ struct Args {
   std::exit(2);
 }
 
+namespace {
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) usage();
@@ -119,13 +123,13 @@ Args parse(int argc, char** argv) {
     if (arg == "-g" || arg == "--graph") {
       a.graph_file = next();
     } else if (arg == "--epsilon") {
-      a.epsilon = std::stod(next());
+      a.epsilon = parse_num<double>(next());
     } else if (arg == "--k") {
-      a.k = static_cast<std::uint32_t>(std::stoul(next()));
+      a.k = parse_num<std::uint32_t>(next());
     } else if (arg == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = parse_num<std::uint64_t>(next());
     } else if (arg == "--threads") {
-      a.threads = static_cast<std::uint32_t>(std::stoul(next()));
+      a.threads = parse_num<std::uint32_t>(next());
     } else if (arg == "--trace-out") {
       a.trace_out = next();
     } else if (arg == "--metrics-out") {
@@ -133,25 +137,22 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--exact") {
       a.exact = true;
     } else if (arg == "--drop") {
-      a.drop = std::stod(next());
+      a.drop = parse_num<double>(next());
     } else if (arg == "--corrupt") {
-      a.corrupt = std::stod(next());
+      a.corrupt = parse_num<double>(next());
     } else if (arg == "--fault-seed") {
-      a.fault_seed = std::stoull(next());
+      a.fault_seed = parse_num<std::uint64_t>(next());
     } else if (arg == "--crash") {
-      const std::string spec = next();
-      const std::size_t at = spec.find('@');
-      if (at == std::string::npos) usage();
-      a.crashes.push_back(
-          {static_cast<NodeId>(std::stoul(spec.substr(0, at))),
-           std::stoull(spec.substr(at + 1))});
+      const auto [node, round] =
+          parse_pair<NodeId, std::uint64_t>(next(), '@');
+      a.crashes.push_back({node, round});
     } else if (arg == "--repair") {
       a.repair = true;
     } else if (arg == "--sources") {
       std::stringstream ss(next());
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        a.sources.push_back(static_cast<NodeId>(std::stoul(tok)));
+        a.sources.push_back(parse_num<NodeId>(tok));
       }
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
@@ -195,36 +196,11 @@ struct Instrumentation {
   }
 };
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t len = std::strlen(suffix);
-  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
-}
-
-std::ofstream open_or_die(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  return out;
-}
-
 // `repairs_attempted`: 1 when the run was self-healed by repair_apsp.
 void write_instrumentation(const Args& a, const Instrumentation& instr,
                            const congest::RunStats& stats,
                            std::uint64_t repairs_attempted = 0) {
-  if (a.trace_out) {
-    std::ofstream out = open_or_die(*a.trace_out);
-    if (has_suffix(*a.trace_out, ".jsonl")) {
-      instr.trace.write_jsonl(out);
-    } else if (has_suffix(*a.trace_out, ".csv")) {
-      instr.trace.write_csv(out);
-    } else {
-      instr.trace.write_chrome_json(out);
-    }
-    std::fprintf(stderr, "trace: %zu events -> %s\n", instr.trace.size(),
-                 a.trace_out->c_str());
-  }
+  if (a.trace_out) write_trace_file(instr.trace, *a.trace_out);
   if (a.metrics_out) {
     MetricsRegistry reg;
     reg.counter("rounds") = stats.rounds;
@@ -245,13 +221,7 @@ void write_instrumentation(const Args& a, const Instrumentation& instr,
     reg.histogram("edge_bits").merge(instr.metrics.edge_bits);
     reg.histogram("edge_messages").merge(instr.metrics.edge_messages);
     reg.histogram("round_activity").merge(instr.metrics.round_activity);
-    std::ofstream out = open_or_die(*a.metrics_out);
-    if (has_suffix(*a.metrics_out, ".csv")) {
-      reg.write_csv(out);
-    } else {
-      reg.write_json(out);
-    }
-    std::fprintf(stderr, "metrics -> %s\n", a.metrics_out->c_str());
+    write_metrics_file(reg, *a.metrics_out);
   }
 }
 
@@ -259,9 +229,8 @@ int cmd_gen(const Args& a) {
   if (a.positional.empty()) usage();
   const std::string& fam = a.positional[0];
   auto arg_at = [&](std::size_t i, NodeId fallback) -> NodeId {
-    return i < a.positional.size()
-               ? static_cast<NodeId>(std::stoul(a.positional[i]))
-               : fallback;
+    return i < a.positional.size() ? parse_num<NodeId>(a.positional[i])
+                                   : fallback;
   };
   Graph g;
   if (fam == "path") {

@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -54,6 +53,7 @@
 #include "util/journal.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "cli_args.h"
 
 using namespace dapsp;
 
@@ -90,6 +90,8 @@ struct Args {
   std::uint32_t serve_readers = 0;   // query-tier soak reader threads
   std::uint32_t serve_lookups = 64;  // p2p probes per reader per snapshot
 };
+
+}  // namespace
 
 [[noreturn]] void usage() {
   std::fprintf(
@@ -128,6 +130,8 @@ struct Args {
   std::exit(2);
 }
 
+namespace {
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -141,33 +145,33 @@ Args parse(int argc, char** argv) {
     } else if (arg == "-g" || arg == "--graph") {
       a.graph_file = next();
     } else if (arg == "--universe") {
-      a.universe = static_cast<NodeId>(std::stoul(next()));
+      a.universe = parse_num<NodeId>(next());
     } else if (arg == "--updates") {
-      a.updates = std::stoull(next());
+      a.updates = parse_num<std::uint64_t>(next());
     } else if (arg == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = parse_num<std::uint64_t>(next());
     } else if (arg == "--batch-max") {
-      a.batch_max = static_cast<std::uint32_t>(std::stoul(next()));
+      a.batch_max = parse_num<std::uint32_t>(next());
     } else if (arg == "--chaos") {
-      a.chaos = std::stod(next());
+      a.chaos = parse_num<double>(next());
     } else if (arg == "--threads") {
-      a.threads = static_cast<std::uint32_t>(std::stoul(next()));
+      a.threads = parse_num<std::uint32_t>(next());
     } else if (arg == "--scrub-every") {
-      a.scrub_every = static_cast<std::uint32_t>(std::stoul(next()));
+      a.scrub_every = parse_num<std::uint32_t>(next());
     } else if (arg == "--checkpoint-every") {
-      a.checkpoint_every = std::stoull(next());
+      a.checkpoint_every = parse_num<std::uint64_t>(next());
     } else if (arg == "--checkpoint-file") {
       a.checkpoint_file = next();
     } else if (arg == "--restore") {
       a.restore_file = next();
     } else if (arg == "--kill-at" || arg == "--kill-at-epoch") {
-      a.kill_at = std::stoull(next());
+      a.kill_at = parse_num<std::uint64_t>(next());
     } else if (arg == "--durable-dir") {
       a.durable_dir = next();
     } else if (arg == "--recover") {
       a.recover = true;
     } else if (arg == "--kill-at-byte") {
-      a.kill_at_byte = std::stoull(next());
+      a.kill_at_byte = parse_num<std::uint64_t>(next());
     } else if (arg == "--ckpt-dump") {
       a.ckpt_dump = next();
     } else if (arg == "--trace-out") {
@@ -175,25 +179,22 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       a.metrics_out = next();
     } else if (arg == "--breaker") {
-      const std::string spec = next();
-      unsigned k = 0, c = 0;
-      if (std::sscanf(spec.c_str(), "%u@%u", &k, &c) != 2 || k == 0) usage();
+      const auto [k, c] =
+          parse_pair<std::uint32_t, std::uint64_t>(next(), '@');
+      if (k == 0) usage();
       core::BreakerConfig bc;
       bc.failure_threshold = k;
       bc.cooldown_ticks = c;
       a.breaker = bc;
     } else if (arg == "--strangle") {
-      const std::string spec = next();
-      unsigned long long lo = 0, hi = 0;
-      if (std::sscanf(spec.c_str(), "%llu:%llu", &lo, &hi) != 2 || lo == 0 ||
-          hi < lo) {
-        usage();
-      }
+      const auto [lo, hi] =
+          parse_pair<std::uint64_t, std::uint64_t>(next(), ':');
+      if (lo == 0 || hi < lo) usage();
       a.strangle = {lo, hi};
     } else if (arg == "--serve") {
-      a.serve_readers = static_cast<std::uint32_t>(std::stoul(next()));
+      a.serve_readers = parse_num<std::uint32_t>(next());
     } else if (arg == "--serve-lookups") {
-      a.serve_lookups = static_cast<std::uint32_t>(std::stoul(next()));
+      a.serve_lookups = parse_num<std::uint32_t>(next());
     } else if (arg == "--quiet") {
       a.quiet = true;
     } else {
@@ -226,36 +227,11 @@ Graph make_graph(const Args& a) {
   std::exit(2);
 }
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t len = std::strlen(suffix);
-  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
-}
-
-std::ofstream open_or_die(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  return out;
-}
-
 void write_outputs(const Args& a, const congest::TraceLog& trace,
                    const core::ServiceStats& st,
                    const core::DurableStats* ds = nullptr,
                    const CrashPoint* crash = nullptr) {
-  if (a.trace_out) {
-    std::ofstream out = open_or_die(*a.trace_out);
-    if (has_suffix(*a.trace_out, ".jsonl")) {
-      trace.write_jsonl(out);
-    } else if (has_suffix(*a.trace_out, ".csv")) {
-      trace.write_csv(out);
-    } else {
-      trace.write_chrome_json(out);
-    }
-    std::fprintf(stderr, "trace: %zu events -> %s\n", trace.size(),
-                 a.trace_out->c_str());
-  }
+  if (a.trace_out) write_trace_file(trace, *a.trace_out);
   if (a.metrics_out) {
     MetricsRegistry reg;
     reg.counter("service_epochs") = st.epochs;
@@ -286,13 +262,7 @@ void write_outputs(const Args& a, const congest::TraceLog& trace,
       // sweep range for --kill-at-byte.
       reg.counter("durable_bytes") = crash->written;
     }
-    std::ofstream out = open_or_die(*a.metrics_out);
-    if (has_suffix(*a.metrics_out, ".csv")) {
-      reg.write_csv(out);
-    } else {
-      reg.write_json(out);
-    }
-    std::fprintf(stderr, "metrics -> %s\n", a.metrics_out->c_str());
+    write_metrics_file(reg, *a.metrics_out);
   }
 }
 

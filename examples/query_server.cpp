@@ -54,6 +54,7 @@
 #include "util/blob.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "cli_args.h"
 
 using namespace dapsp;
 
@@ -85,6 +86,8 @@ struct Args {
   std::optional<std::string> metrics_out;
 };
 
+}  // namespace
+
 [[noreturn]] void usage() {
   std::fprintf(
       stderr,
@@ -98,6 +101,8 @@ struct Args {
   std::exit(2);
 }
 
+namespace {
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -106,7 +111,7 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    auto next_node = [&]() { return static_cast<NodeId>(std::stoul(next())); };
+    auto next_node = [&]() { return parse_num<NodeId>(next()); };
     if (arg == "--export") {
       a.export_path = next();
     } else if (arg == "--gen") {
@@ -116,13 +121,13 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--universe") {
       a.universe = next_node();
     } else if (arg == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = parse_num<std::uint64_t>(next());
     } else if (arg == "--updates") {
-      a.updates = std::stoull(next());
+      a.updates = parse_num<std::uint64_t>(next());
     } else if (arg == "--chaos") {
-      a.chaos = std::stod(next());
+      a.chaos = parse_num<double>(next());
     } else if (arg == "--labels") {
-      a.labels_k = static_cast<std::uint32_t>(std::stoul(next()));
+      a.labels_k = parse_num<std::uint32_t>(next());
     } else if (arg == "--snapshot") {
       a.snapshot_path = next();
     } else if (arg == "--info") {
@@ -132,20 +137,20 @@ Args parse(int argc, char** argv) {
       a.query = {u, next_node()};
     } else if (arg == "--k-nearest") {
       const NodeId u = next_node();
-      a.k_nearest = {u, static_cast<std::uint32_t>(std::stoul(next()))};
+      a.k_nearest = {u, parse_num<std::uint32_t>(next())};
     } else if (arg == "--ecc") {
       a.ecc = next_node();
     } else if (arg == "--estimate") {
       const NodeId u = next_node();
       a.estimate = {u, next_node()};
     } else if (arg == "--bench-lookups") {
-      a.bench_lookups = std::stoull(next());
+      a.bench_lookups = parse_num<std::uint64_t>(next());
     } else if (arg == "--overload") {
-      a.overload_requests = std::stoull(next());
+      a.overload_requests = parse_num<std::uint64_t>(next());
     } else if (arg == "--offered") {
-      a.offered_per_sec = std::stoull(next());
+      a.offered_per_sec = parse_num<std::uint64_t>(next());
     } else if (arg == "--deadline-us") {
-      a.deadline_us = std::stoull(next());
+      a.deadline_us = parse_num<std::uint64_t>(next());
     } else if (arg == "--trace-out") {
       a.trace_out = next();
     } else if (arg == "--metrics-out") {
@@ -360,39 +365,11 @@ int run_serve(const Args& a) {
     const core::HealthReport health = rep.health(&snap);
     std::printf("health: %s\n", health.debug_string().c_str());
 
-    if (a.trace_out) {
-      std::ofstream out(*a.trace_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", a.trace_out->c_str());
-        return 1;
-      }
-      const std::string& p = *a.trace_out;
-      if (p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0) {
-        trace.write_csv(out);
-      } else if (p.size() >= 6 &&
-                 p.compare(p.size() - 6, 6, ".jsonl") == 0) {
-        trace.write_jsonl(out);
-      } else {
-        trace.write_chrome_json(out);
-      }
-      std::fprintf(stderr, "trace: %zu events -> %s\n", trace.size(),
-                   a.trace_out->c_str());
-    }
+    if (a.trace_out) write_trace_file(trace, *a.trace_out);
     if (a.metrics_out) {
       MetricsRegistry reg;
       health.to_metrics(reg);
-      std::ofstream out(*a.metrics_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", a.metrics_out->c_str());
-        return 1;
-      }
-      const std::string& p = *a.metrics_out;
-      if (p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0) {
-        reg.write_csv(out);
-      } else {
-        reg.write_json(out);
-      }
-      std::fprintf(stderr, "metrics -> %s\n", a.metrics_out->c_str());
+      write_metrics_file(reg, *a.metrics_out);
     }
 
     // The contract this mode exists to enforce.

@@ -57,7 +57,7 @@ DecodedRecord decode_record(std::span<const std::uint8_t> payload) {
   const std::uint32_t nw = r.u32();
   rec.words.reserve(nw);
   for (std::uint32_t i = 0; i < nw; ++i) rec.words.push_back(r.u64());
-  rec.batch = decode_churn_batch(r.bytes(r.left()));
+  rec.batch = decode_churn_batch(r.view(r.left()));
   return rec;
 }
 

@@ -1,160 +1,96 @@
 #include "core/query.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "graph/delta.h"
-#include "util/journal.h"
 
 namespace dapsp::core {
 namespace {
 
-// The read path hands out reinterpret_cast'd u32 table views straight into
-// the (4-byte-aligned) blob, which is only the on-disk format on
-// little-endian hosts. Every target this repo builds for is LE; refuse to
-// compile elsewhere rather than serve byte-swapped distances.
-static_assert(std::endian::native == std::endian::little,
-              "DQRY snapshots assume a little-endian host");
-
-constexpr std::size_t kQueryHeaderBytes = 40;
+constexpr std::size_t kQueryHeaderBytes = 40;  // the tag included
 constexpr std::uint32_t kMaxQueryNodes = 1u << 20;
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  return std::uint64_t{load_u32(p)} | std::uint64_t{load_u32(p + 4)} << 32;
-}
-
-void store_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void store_u64(std::uint8_t* p, std::uint64_t v) {
-  store_u32(p, static_cast<std::uint32_t>(v));
-  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-struct QueryLayout {
-  std::uint64_t dist_off;    // == kQueryHeaderBytes
-  std::uint64_t hop_off;
-  std::uint64_t dom_off;
-  std::uint64_t labels_off;
-  std::uint64_t active_off;
-  std::uint64_t status_off;
-  std::uint64_t checksum_off;
-  std::uint64_t total;
-};
-
-QueryLayout layout_for(std::uint64_t n, std::uint64_t dom_count) {
-  QueryLayout lo;
-  const std::uint64_t table = 4 * n * n;
-  lo.dist_off = kQueryHeaderBytes;
-  lo.hop_off = lo.dist_off + table;
-  lo.dom_off = lo.hop_off + table;
-  lo.labels_off = lo.dom_off + 4 * dom_count;
-  lo.active_off = lo.labels_off + 4 * n * dom_count;
-  lo.status_off = lo.active_off + n;
-  lo.checksum_off = lo.status_off + n;
-  lo.total = lo.checksum_off + 8;
-  return lo;
-}
 
 }  // namespace
 
-CheckpointError classify_query_blob(
+CheckpointError QuerySnapshot::bind(
     std::span<const std::uint8_t> blob) noexcept {
+  // The header and the seal must be there before any field is read.
   if (blob.size() < kQueryHeaderBytes + 8) return CheckpointError::kTruncated;
-  if (std::memcmp(blob.data(), kQueryMagic, 4) != 0) {
-    return CheckpointError::kBadMagic;
+  if (const CheckpointError e = check_tag(blob, kQueryTag);
+      e != CheckpointError::kNone) {
+    return e;
   }
-  if (std::memcmp(blob.data() + 4, kQueryVersion, 4) != 0) {
-    return CheckpointError::kVersionMismatch;
-  }
-  const std::uint32_t n = load_u32(blob.data() + 8);
-  const std::uint32_t flags = load_u32(blob.data() + 28);
-  const std::uint32_t dom_count = load_u32(blob.data() + 36);
-  if (n == 0 || n > kMaxQueryNodes) return CheckpointError::kBadPayload;
-  if ((flags & ~(kQueryFlagLabels | kQueryFlagDegraded)) != 0) {
+  ByteReader r(blob.subspan(kFrameTagBytes), "DQRY");
+  n_ = r.u32();
+  epoch_ = r.u64();
+  sequence_ = r.u64();
+  flags_ = r.u32();
+  k_ = r.u32();
+  dom_count_ = r.u32();
+  if (n_ == 0 || n_ > kMaxQueryNodes) return CheckpointError::kBadPayload;
+  if ((flags_ & ~(kQueryFlagLabels | kQueryFlagDegraded)) != 0) {
     return CheckpointError::kBadPayload;
   }
-  const bool has_labels = (flags & kQueryFlagLabels) != 0;
-  if (!has_labels && dom_count != 0) return CheckpointError::kBadPayload;
-  if (has_labels && (dom_count == 0 || dom_count > n)) {
+  if (has_labels() ? dom_count_ == 0 || dom_count_ > n_ : dom_count_ != 0) {
     return CheckpointError::kBadPayload;
   }
-  const QueryLayout lo = layout_for(n, dom_count);
-  if (blob.size() != lo.total) return CheckpointError::kTruncated;
-  const std::uint64_t want = load_u64(blob.data() + lo.checksum_off);
-  if (fnv1a64(blob.first(lo.checksum_off)) != want) {
-    return CheckpointError::kChecksumMismatch;
+  const std::uint64_t cells = std::uint64_t{n_} * n_;
+  try {
+    // The tables are served in place: the codec's LE host check makes the
+    // on-disk u32s native, and every section offset is 4-byte aligned.
+    dist_ = reinterpret_cast<const std::uint32_t*>(r.view(cells, 4).data());
+    hop_ = reinterpret_cast<const std::uint32_t*>(r.view(cells, 4).data());
+    dom_ = reinterpret_cast<const std::uint32_t*>(r.view(dom_count_, 4).data());
+    labels_ = reinterpret_cast<const std::uint32_t*>(
+        r.view(std::uint64_t{n_} * dom_count_, 4).data());
+    active_ = r.view(n_).data();
+    status_ = r.view(n_).data();
+    r.skip(8);  // the seal
+  } catch (const std::exception&) {
+    return CheckpointError::kTruncated;
   }
-  // Field-level sanity: dominator ids in-universe, statuses in-enum,
-  // active mask boolean.
-  const std::uint8_t* base = blob.data();
-  for (std::uint32_t i = 0; i < dom_count; ++i) {
-    if (load_u32(base + lo.dom_off + 4 * std::uint64_t{i}) >= n) {
-      return CheckpointError::kBadPayload;
-    }
+  if (r.left() != 0) return CheckpointError::kTruncated;  // appended bytes
+  if (!seal_ok(blob)) return CheckpointError::kChecksumMismatch;
+  for (std::uint32_t i = 0; i < dom_count_; ++i) {
+    if (dom_[i] >= n_) return CheckpointError::kBadPayload;
   }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (base[lo.active_off + v] > 1) return CheckpointError::kBadPayload;
-    if (base[lo.status_off + v] >
-        static_cast<std::uint8_t>(RowStatus::kStale)) {
+  for (NodeId v = 0; v < n_; ++v) {
+    if (active_[v] > 1) return CheckpointError::kBadPayload;
+    if (status_[v] > static_cast<std::uint8_t>(RowStatus::kStale)) {
       return CheckpointError::kBadPayload;
     }
   }
   return CheckpointError::kNone;
 }
 
-void QuerySnapshot::bind(std::span<const std::uint8_t> blob) {
-  const std::uint8_t* base = blob.data();
-  n_ = load_u32(base + 8);
-  epoch_ = load_u64(base + 12);
-  sequence_ = load_u64(base + 20);
-  flags_ = load_u32(base + 28);
-  k_ = load_u32(base + 32);
-  dom_count_ = load_u32(base + 36);
-  const QueryLayout lo = layout_for(n_, dom_count_);
-  dist_ = reinterpret_cast<const std::uint32_t*>(base + lo.dist_off);
-  hop_ = reinterpret_cast<const std::uint32_t*>(base + lo.hop_off);
-  dom_ = reinterpret_cast<const std::uint32_t*>(base + lo.dom_off);
-  labels_ = reinterpret_cast<const std::uint32_t*>(base + lo.labels_off);
-  active_ = base + lo.active_off;
-  status_ = base + lo.status_off;
+CheckpointError classify_query_blob(
+    std::span<const std::uint8_t> blob) noexcept {
+  QuerySnapshot snap;
+  return snap.bind(blob);
 }
 
 QuerySnapshot QuerySnapshot::from_blob(std::vector<std::uint8_t> bytes) {
-  const CheckpointError err = classify_query_blob(bytes);
+  QuerySnapshot snap;
+  snap.owned_ = std::move(bytes);
+  const CheckpointError err = snap.bind(snap.owned_);
   if (err != CheckpointError::kNone) {
     throw std::runtime_error(std::string("QuerySnapshot: ") + to_string(err) +
                              " blob");
   }
-  QuerySnapshot snap;
-  snap.owned_ = std::move(bytes);
-  snap.bind(snap.owned_);
   return snap;
 }
 
 QuerySnapshot QuerySnapshot::from_file(const std::string& path) {
-  MappedBlob mapped = MappedBlob::map_file(path);
-  const CheckpointError err = classify_query_blob(mapped.bytes());
+  QuerySnapshot snap;
+  snap.mapped_ = MappedBlob::map_file(path);
+  const CheckpointError err = snap.bind(snap.mapped_.bytes());
   if (err != CheckpointError::kNone) {
     throw std::runtime_error(std::string("QuerySnapshot: ") + to_string(err) +
                              " blob at " + path);
   }
-  QuerySnapshot snap;
-  snap.mapped_ = std::move(mapped);
-  snap.bind(snap.mapped_.bytes());
   return snap;
 }
 
@@ -303,50 +239,44 @@ std::vector<std::uint8_t> encode_common(
           "encode_query_snapshot: label section does not match universe");
     }
   }
-  const QueryLayout lo = layout_for(n, dom_count);
-  std::vector<std::uint8_t> out(lo.total);
-  std::uint8_t* base = out.data();
-  std::memcpy(base, kQueryMagic, 4);
-  std::memcpy(base + 4, kQueryVersion, 4);
-  store_u32(base + 8, n);
-  store_u64(base + 12, epoch);
-  store_u64(base + 20, sequence);
-  store_u32(base + 28, flags);
-  store_u32(base + 32, labels != nullptr ? labels->k() : 0u);
-  store_u32(base + 36, dom_count);
+  // One allocation of the exact blob size (see the layout in query.h).
+  const std::uint64_t un = n;
+  std::vector<std::uint8_t> out;
+  out.reserve(kQueryHeaderBytes + 8 * un * un + 4 * dom_count +
+              4 * un * dom_count + 2 * un + 8);
+  put_tag(out, kQueryTag);
+  put_u32(out, n);
+  put_u64(out, epoch);
+  put_u64(out, sequence);
+  put_u32(out, flags);
+  put_u32(out, labels != nullptr ? labels->k() : 0u);
+  put_u32(out, dom_count);
   // Row s = served values toward source s, indexed by node v.
+  std::vector<std::uint32_t> row(n);
   for (std::uint32_t s = 0; s < n; ++s) {
-    std::uint8_t* drow = base + lo.dist_off + 4 * std::uint64_t{s} * n;
-    std::uint8_t* hrow = base + lo.hop_off + 4 * std::uint64_t{s} * n;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      store_u32(drow + 4 * std::size_t{v}, dist_to(v, s));
-      store_u32(hrow + 4 * std::size_t{v}, hop_to(v, s));
-    }
+    for (std::uint32_t v = 0; v < n; ++v) row[v] = dist_to(v, s);
+    put_u32s(out, row);
+  }
+  for (std::uint32_t s = 0; s < n; ++s) {
+    for (std::uint32_t v = 0; v < n; ++v) row[v] = hop_to(v, s);
+    put_u32s(out, row);
   }
   if (labels != nullptr) {
-    const std::vector<NodeId>& dom = labels->dominators();
-    for (std::uint32_t i = 0; i < dom_count; ++i) {
-      store_u32(base + lo.dom_off + 4 * std::uint64_t{i}, dom[i]);
-    }
+    put_u32s(out, labels->dominators());
     for (std::uint32_t v = 0; v < n; ++v) {
       const std::span<const std::uint32_t> lab = labels->label(v);
       if (lab.size() != dom_count) {
         throw std::invalid_argument(
             "encode_query_snapshot: ragged label row");
       }
-      std::uint8_t* lrow =
-          base + lo.labels_off + 4 * std::uint64_t{v} * dom_count;
-      for (std::uint32_t i = 0; i < dom_count; ++i) {
-        store_u32(lrow + 4 * std::size_t{i}, lab[i]);
-      }
+      put_u32s(out, lab);
     }
   }
+  for (std::uint32_t v = 0; v < n; ++v) out.push_back(active[v] != 0 ? 1 : 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    base[lo.active_off + v] = active[v] != 0 ? 1 : 0;
-    base[lo.status_off + v] = static_cast<std::uint8_t>(status[v]);
+    out.push_back(static_cast<std::uint8_t>(status[v]));
   }
-  store_u64(base + lo.checksum_off,
-            fnv1a64(std::span<const std::uint8_t>(out).first(lo.checksum_off)));
+  seal(out);
   return out;
 }
 

@@ -4,22 +4,20 @@
 // The service layer (core/service.h) keeps APSP tables certified under
 // churn; this module is the consumer story. Three pieces:
 //
-//   * DQRY snapshot blobs — an immutable, checksummed serialization of the
+//   * DQRY snapshot blobs — an immutable DQRY frame (util/frame.h) of the
 //     service's served tables (flat row-major u32 distance + next-hop
 //     tables, per-row exact/repaired/stale status, active mask, optional
-//     2-hop label section from core/distance_labels.h), following the same
-//     blob conventions as DSVC0001 checkpoints: little-endian fields,
-//     self-delimiting structure, trailing FNV-1a 64 checksum. Blobs are
-//     mmap-able (util/blob.h): the table pointers of a file-backed
-//     QuerySnapshot read straight off the page cache.
+//     2-hop label section from core/distance_labels.h). Blobs are mmap-able
+//     (util/blob.h): the table pointers of a file-backed QuerySnapshot read
+//     straight off the page cache.
 //
-//     Layout (all little-endian):
-//       "DQRY" | "0001" | u32 n | u64 epoch | u64 sequence | u32 flags
-//       | u32 k | u32 dom_count                      (40-byte header)
+//     Layout after the "DQRY" "0001" tag:
+//       u32 n | u64 epoch | u64 sequence | u32 flags | u32 k
+//       | u32 dom_count                              (40-byte header)
 //       | u32 dist[n*n]      dist[s*n + v] = served d(v, s)
 //       | u32 next_hop[n*n]  next_hop[s*n + v] = v's hop toward s
 //       | u32 dom[dom_count] | u32 labels[n*dom_count]   (iff flags bit 0)
-//       | u8 active[n] | u8 status[n] | u64 fnv1a64(everything before)
+//       | u8 active[n] | u8 status[n] | seal
 //     Row s carries the served distances *to* source s for every node, so
 //     every query kind scans one contiguous row and inherits exactly that
 //     row's status — the same per-row freshness contract DapspService::query
@@ -67,17 +65,16 @@
 #include "core/service.h"
 #include "graph/graph.h"
 #include "util/blob.h"
+#include "util/frame.h"
 
 namespace dapsp::core {
 
-inline constexpr char kQueryMagic[4] = {'D', 'Q', 'R', 'Y'};
-inline constexpr char kQueryVersion[4] = {'0', '0', '0', '1'};
+inline constexpr FrameTag kQueryTag{{'D', 'Q', 'R', 'Y'}, {'0', '0', '0', '1'}};
 inline constexpr std::uint32_t kQueryFlagLabels = 1u << 0;
 inline constexpr std::uint32_t kQueryFlagDegraded = 1u << 1;
 
-// Classifies a DQRY blob without building a snapshot from it. Same failure
-// taxonomy as service checkpoints (the blob conventions are shared), pure
-// and noexcept: a dry structural parse plus the trailing-checksum check.
+// Classifies a DQRY blob without building a snapshot from it: pure and
+// noexcept, and complete — a blob that classifies kNone binds.
 CheckpointError classify_query_blob(
     std::span<const std::uint8_t> blob) noexcept;
 
@@ -230,8 +227,14 @@ class QuerySnapshot {
   std::span<const std::uint8_t> bytes() const noexcept;
 
  private:
+  friend CheckpointError classify_query_blob(
+      std::span<const std::uint8_t> blob) noexcept;
+
   QuerySnapshot() = default;
-  void bind(std::span<const std::uint8_t> blob);  // after validation
+  // The one DQRY parser (classify_query_blob is its verdict): parses `blob`
+  // (the snapshot's own storage) and points the table views into it. On
+  // anything but kNone the snapshot must not be used.
+  CheckpointError bind(std::span<const std::uint8_t> blob) noexcept;
 
   std::vector<std::uint8_t> owned_;
   MappedBlob mapped_;

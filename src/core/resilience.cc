@@ -6,7 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "util/journal.h"
+#include "util/frame.h"
 #include "util/rng.h"
 
 namespace dapsp::core {
@@ -16,11 +16,7 @@ namespace {
 // Folds the 8 little-endian bytes of a word into the FNV-1a digest `h` —
 // the digest accumulator for the completion stream.
 std::uint64_t fnv1a64_u64(std::uint64_t h, std::uint64_t word) noexcept {
-  std::uint8_t bytes[8];
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>(word >> (8 * i));
-  }
-  return fnv1a64(bytes, h);
+  return fnv1a64(le_bytes(word), h);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <istream>
 #include <iterator>
 #include <ostream>
@@ -10,7 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/journal.h"
+#include "util/frame.h"
 #include "util/rng.h"
 
 namespace dapsp::core {
@@ -25,15 +24,70 @@ using congest::TraceEventKind;
 // telling apart in traces).
 constexpr std::uint32_t kDeltaCrashBit = 0x100u;
 
-// First four bytes identify the file kind, the next four its format
-// version — classify_checkpoint_blob tells the two mismatches apart.
-constexpr char kCheckpointMagic[4] = {'D', 'S', 'V', 'C'};
-constexpr char kCheckpointVersion[4] = {'0', '0', '0', '1'};
+// Magic "DSVC", version "0001".
+constexpr FrameTag kCheckpointTag{{'D', 'S', 'V', 'C'}, {'0', '0', '0', '1'}};
+// Largest universe a checkpoint may claim; bounds the n*n table arithmetic.
+constexpr std::uint64_t kMaxCheckpointNodes = std::uint64_t{1} << 20;
 
-// FNV-1a 64 over the blob body — catches truncation and bit damage of a
-// checkpoint file before any field is trusted.
-std::uint64_t blob_checksum(std::span<const std::uint8_t> bytes) {
-  return fnv1a64(bytes);
+// A DSVC blob's sections, as views into it. Layout after the tag:
+//   u32 n | u64 epoch | u64 user_count | u64 user[user_count] | u8 active[n]
+//   | u64 m | (u32 u, u32 v)[m] sorted, u < v | u8 status[n]
+//   | u32 dist[n*n] | u32 next_hop[n*n] | u32 served_dist[n*n]
+//   | u32 served_next_hop[n*n] | seal        (tables indexed [node][source])
+struct CheckpointFrame {
+  NodeId n = 0;
+  std::uint64_t epoch = 0;
+  std::span<const std::uint8_t> user_words, active, edges, status, tables;
+};
+
+// The one DSVC parser: classify_checkpoint_blob is its verdict and
+// restore_blob decodes its views. It allocates nothing (the durable layer
+// classifies both generation slots on every rotation and load) and
+// validates every field restore_blob relies on, so a kNone blob restores.
+CheckpointError parse_checkpoint(std::span<const std::uint8_t> blob,
+                                 CheckpointFrame& f) noexcept {
+  if (blob.empty()) return CheckpointError::kMissing;
+  if (const CheckpointError e = check_tag(blob, kCheckpointTag);
+      e != CheckpointError::kNone) {
+    return e;
+  }
+  try {
+    ByteReader r(blob.subspan(kFrameTagBytes), "checkpoint");
+    f.n = r.u32();
+    if (f.n == 0) return CheckpointError::kBadPayload;
+    f.epoch = r.u64();
+    f.user_words = r.view(r.u64(), 8);
+    f.active = r.view(f.n);
+    f.edges = r.view(r.u64(), 8);
+    f.status = r.view(f.n);
+    if (f.n > kMaxCheckpointNodes) return CheckpointError::kTruncated;
+    f.tables = r.view(std::uint64_t{f.n} * f.n, 16);
+    r.skip(8);  // the seal
+    // Self-delimiting: bytes past the seal are damage the seal can't cover.
+    if (r.left() != 0) return CheckpointError::kChecksumMismatch;
+  } catch (const std::exception&) {
+    return CheckpointError::kTruncated;
+  }
+  if (!seal_ok(blob)) return CheckpointError::kChecksumMismatch;
+  for (const std::uint8_t st : f.status) {
+    if (st > static_cast<std::uint8_t>(RowStatus::kStale)) {
+      return CheckpointError::kBadPayload;
+    }
+  }
+  // Edges as checkpoint_blob writes them: strictly increasing, u < v, both
+  // endpoints active — exactly what DynamicGraph accepts in that order.
+  ByteReader e(f.edges, "checkpoint edges");
+  std::uint64_t prev = 0;
+  while (e.left() > 0) {
+    const NodeId u = e.u32();
+    const NodeId v = e.u32();
+    const std::uint64_t key = std::uint64_t{u} << 32 | v;
+    if (u >= v || v >= f.n || !f.active[u] || !f.active[v] || key <= prev) {
+      return CheckpointError::kBadPayload;
+    }
+    prev = key;
+  }
+  return CheckpointError::kNone;
 }
 
 std::uint32_t abs_diff(std::uint32_t a, std::uint32_t b) {
@@ -42,98 +96,18 @@ std::uint32_t abs_diff(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
-const char* to_string(CheckpointError e) noexcept {
-  switch (e) {
-    case CheckpointError::kNone:
-      return "none";
-    case CheckpointError::kMissing:
-      return "missing";
-    case CheckpointError::kTruncated:
-      return "truncated";
-    case CheckpointError::kBadMagic:
-      return "bad-magic";
-    case CheckpointError::kVersionMismatch:
-      return "version-mismatch";
-    case CheckpointError::kChecksumMismatch:
-      return "checksum-mismatch";
-    case CheckpointError::kBadPayload:
-      return "bad-payload";
-  }
-  return "?";
-}
-
 CheckpointError classify_checkpoint_blob(
     std::span<const std::uint8_t> blob) noexcept {
-  if (blob.empty()) return CheckpointError::kMissing;
-  if (blob.size() < 8) return CheckpointError::kTruncated;
-  if (std::memcmp(blob.data(), kCheckpointMagic, 4) != 0) {
-    return CheckpointError::kBadMagic;
-  }
-  if (std::memcmp(blob.data() + 4, kCheckpointVersion, 4) != 0) {
-    return CheckpointError::kVersionMismatch;
-  }
-  // Dry structural parse (sizes only): the blob is self-delimiting, so its
-  // exact length is recomputable — shorter is truncation, longer means
-  // appended bytes the checksum cannot cover.
-  const std::uint64_t size = blob.size();
-  std::uint64_t need = 8;  // magic + version
-  const auto fits = [&](std::uint64_t more) {
-    if (more > size - need) return false;
-    need += more;
-    return true;
-  };
-  const auto read_u32 = [&](std::uint64_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t{blob[static_cast<std::size_t>(at) +
-                              static_cast<std::size_t>(i)]}
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto read_u64 = [&](std::uint64_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t{blob[static_cast<std::size_t>(at) +
-                              static_cast<std::size_t>(i)]}
-           << (8 * i);
-    }
-    return v;
-  };
-  if (!fits(4)) return CheckpointError::kTruncated;
-  const std::uint64_t n = read_u32(need - 4);
-  if (n == 0) return CheckpointError::kBadPayload;
-  if (!fits(8)) return CheckpointError::kTruncated;  // epoch
-  if (!fits(8)) return CheckpointError::kTruncated;  // user word count
-  const std::uint64_t user_count = read_u64(need - 8);
-  if (user_count > size / 8 || !fits(user_count * 8)) {
-    return CheckpointError::kTruncated;
-  }
-  if (!fits(n)) return CheckpointError::kTruncated;  // active mask
-  if (!fits(8)) return CheckpointError::kTruncated;  // edge count
-  const std::uint64_t m = read_u64(need - 8);
-  if (m > size / 8 || !fits(m * 8)) return CheckpointError::kTruncated;
-  if (!fits(n)) return CheckpointError::kTruncated;  // row statuses
-  // Four n*n u32 tables, then the trailing checksum.
-  if (n > (std::uint64_t{1} << 20) || !fits(4 * n * n * 4)) {
-    return CheckpointError::kTruncated;
-  }
-  if (!fits(8)) return CheckpointError::kTruncated;  // checksum
-  if (need != size) return CheckpointError::kChecksumMismatch;  // extra bytes
-  if (blob_checksum(blob.first(blob.size() - 8)) != read_u64(size - 8)) {
-    return CheckpointError::kChecksumMismatch;
-  }
-  return CheckpointError::kNone;
+  CheckpointFrame f;
+  return parse_checkpoint(blob, f);
 }
 
 std::uint64_t peek_checkpoint_epoch(
     std::span<const std::uint8_t> blob) noexcept {
-  if (blob.size() < 20) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t{blob[12 + static_cast<std::size_t>(i)]} << (8 * i);
-  }
-  return v;
+  if (blob.size() < kFrameTagBytes + 12) return 0;
+  ByteReader r(blob.subspan(kFrameTagBytes), "checkpoint");
+  r.u32();  // n
+  return r.u64();
 }
 
 std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
@@ -428,13 +402,17 @@ DapspService::DapspService(RestoreTag, const ServiceConfig& config,
   validate_config();
 }
 
-void DapspService::zero_row(NodeId x) {
+void DapspService::blank_node(NodeId x) {
   const NodeId n = graph_.universe();
   for (NodeId v = 0; v < n; ++v) {
     apsp_.dist.set(v, x, kInfDist);
     apsp_.next_hop[v][x] = kNoNextHop;
     served_dist_.set(v, x, kInfDist);
     served_next_hop_[v][x] = kNoNextHop;
+    apsp_.dist.set(x, v, kInfDist);
+    apsp_.next_hop[x][v] = kNoNextHop;
+    served_dist_.set(x, v, kInfDist);
+    served_next_hop_[x][v] = kNoNextHop;
   }
   row_status_[x] = RowStatus::kStale;
 }
@@ -682,7 +660,7 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   // Analyze against the pre-epoch table, then retire dead rows.
   const DirtyReport dr = analyze_dirty_rows(apsp_.dist, active_before,
                                             edges_before, graph_);
-  for (const NodeId x : dr.left) zero_row(x);
+  for (const NodeId x : dr.left) blank_node(x);
   // Distances of clean rows stand; their hops over lost links are fixed
   // before anything is published.
   patch_stale_hops(dr);
@@ -871,12 +849,7 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
   const NodeId n = graph_.universe();
   std::vector<std::uint8_t> b;
   b.reserve(64 + std::size_t{n} * n * 16);
-  for (const char c : kCheckpointMagic) {
-    b.push_back(static_cast<std::uint8_t>(c));
-  }
-  for (const char c : kCheckpointVersion) {
-    b.push_back(static_cast<std::uint8_t>(c));
-  }
+  put_tag(b, kCheckpointTag);
   put_u32(b, n);
   put_u64(b, epoch_);
   put_u64(b, user_words.size());
@@ -891,19 +864,11 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
   for (NodeId s = 0; s < n; ++s) {
     b.push_back(static_cast<std::uint8_t>(row_status_[s]));
   }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, apsp_.dist.at(v, s));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, apsp_.next_hop[v][s]);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, served_dist_.at(v, s));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, served_next_hop_[v][s]);
-  }
-  put_u64(b, blob_checksum(b));
+  for (NodeId v = 0; v < n; ++v) put_u32s(b, apsp_.dist.row(v));
+  for (NodeId v = 0; v < n; ++v) put_u32s(b, apsp_.next_hop[v]);
+  for (NodeId v = 0; v < n; ++v) put_u32s(b, served_dist_.row(v));
+  for (NodeId v = 0; v < n; ++v) put_u32s(b, served_next_hop_[v]);
+  seal(b);
 
   stats_.checkpoints += 1;
   stats_.checkpoint_bytes += b.size();
@@ -930,58 +895,50 @@ DapspService DapspService::restore(std::istream& in,
 DapspService DapspService::restore_blob(
     std::span<const std::uint8_t> blob, const ServiceConfig& config,
     std::vector<std::uint64_t>* user_words_out) {
-  const CheckpointError err = classify_checkpoint_blob(blob);
+  CheckpointFrame f;
+  const CheckpointError err = parse_checkpoint(blob, f);
   if (err != CheckpointError::kNone) {
     throw std::runtime_error(std::string("DapspService::restore: ") +
                              to_string(err) + " checkpoint");
   }
-  // Magic, version and trailing checksum verified by the classification;
-  // parse the body between them.
-  ByteReader r(blob.subspan(8, blob.size() - 16), "DapspService::restore");
-  const NodeId n = r.u32();
-  const std::uint64_t epoch = r.u64();
-  const std::uint64_t user_count = r.u64();
-  std::vector<std::uint64_t> user(user_count);
-  for (std::uint64_t i = 0; i < user_count; ++i) user[i] = r.u64();
+  const NodeId n = f.n;
+  std::vector<std::uint64_t> user(f.user_words.size() / 8);
+  ByteReader words(f.user_words, "DapspService::restore");
+  for (std::uint64_t& w : user) w = words.u64();
 
-  std::vector<std::uint8_t> active(n);
-  for (NodeId v = 0; v < n; ++v) active[v] = r.u8();
   DynamicGraph g(n);
   for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) g.apply({DeltaKind::kNodeLeave, v, v});
+    if (!f.active[v]) g.apply({DeltaKind::kNodeLeave, v, v});
   }
-  const std::uint64_t m = r.u64();
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const NodeId u = r.u32();
-    const NodeId v = r.u32();
-    g.apply({DeltaKind::kEdgeInsert, u, v});  // throws on inconsistent blobs
+  ByteReader edges(f.edges, "DapspService::restore");
+  while (edges.left() > 0) {
+    const NodeId u = edges.u32();
+    const NodeId v = edges.u32();
+    g.apply({DeltaKind::kEdgeInsert, u, v});
   }
 
   DapspService svc(RestoreTag{}, config, std::move(g));
-  svc.epoch_ = epoch;
+  svc.epoch_ = f.epoch;
   svc.row_status_.resize(n);
   for (NodeId s = 0; s < n; ++s) {
-    const std::uint8_t raw = r.u8();
-    if (raw > static_cast<std::uint8_t>(RowStatus::kStale)) {
-      throw std::runtime_error("DapspService::restore: bad row status");
-    }
-    svc.row_status_[s] = static_cast<RowStatus>(raw);
+    svc.row_status_[s] = static_cast<RowStatus>(f.status[s]);
   }
   svc.apsp_.dist = DistanceMatrix(n);
   svc.apsp_.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
   svc.served_dist_ = DistanceMatrix(n);
   svc.served_next_hop_.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  ByteReader t(f.tables, "DapspService::restore");
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.apsp_.dist.set(v, s, r.u32());
+    for (NodeId s = 0; s < n; ++s) svc.apsp_.dist.set(v, s, t.u32());
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.apsp_.next_hop[v][s] = r.u32();
+    for (NodeId s = 0; s < n; ++s) svc.apsp_.next_hop[v][s] = t.u32();
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.served_dist_.set(v, s, r.u32());
+    for (NodeId s = 0; s < n; ++s) svc.served_dist_.set(v, s, t.u32());
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.served_next_hop_[v][s] = r.u32();
+    for (NodeId s = 0; s < n; ++s) svc.served_next_hop_[v][s] = t.u32();
   }
   svc.apsp_.survived = svc.graph_.active_mask();
   svc.apsp_.status = congest::RunStatus::kCompleted;
@@ -993,21 +950,20 @@ DapspService DapspService::restore_blob(
 std::optional<DapspService> DapspService::try_restore_blob(
     std::span<const std::uint8_t> blob, const ServiceConfig& config,
     std::vector<std::uint64_t>* user_words_out, CheckpointError* error_out) {
-  CheckpointError err = classify_checkpoint_blob(blob);
-  if (err == CheckpointError::kNone) {
-    try {
-      std::optional<DapspService> svc =
-          restore_blob(blob, config, user_words_out);
-      if (error_out != nullptr) *error_out = CheckpointError::kNone;
-      return svc;
-    } catch (const std::exception&) {
-      // Checksum held but a field is inconsistent (bad row status, edge at
-      // an inactive endpoint, trailing body bytes...).
-      err = CheckpointError::kBadPayload;
+  try {
+    std::optional<DapspService> svc =
+        restore_blob(blob, config, user_words_out);
+    if (error_out != nullptr) *error_out = CheckpointError::kNone;
+    return svc;
+  } catch (const std::exception&) {
+    if (error_out != nullptr) {
+      // A blob that parses can still fail to build (say, out of memory).
+      const CheckpointError err = classify_checkpoint_blob(blob);
+      *error_out =
+          err == CheckpointError::kNone ? CheckpointError::kBadPayload : err;
     }
+    return std::nullopt;
   }
-  if (error_out != nullptr) *error_out = err;
-  return std::nullopt;
 }
 
 std::string EpochReport::debug_string() const {

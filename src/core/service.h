@@ -29,7 +29,7 @@
 //     had D_s(y) = D_s(x) + 1 and y has no alternative parent at D_s(x) in
 //     the post-batch graph (same argument; this also catches disconnections
 //     — the first node beyond a cut always has that boundary pattern). Row
-//     x itself is dead and gets zeroed;
+//     x itself is dead: every cell of x, as source and as node, is blanked;
 //   * a row kept clean by an alternative parent keeps its distances, but the
 //     downstream node's next hop may still point over the removed edge or
 //     into the left node: the analyzer lists those (node, row) cells and
@@ -72,7 +72,7 @@
 //
 // Checkpoint/restore. checkpoint() serializes the full *state* (graph,
 // working tables, served snapshot, row statuses, epoch counter, caller
-// words for e.g. DeltaPlan resume) with a trailing checksum; restore()
+// words for e.g. DeltaPlan resume) as a DSVC frame (util/frame.h); restore()
 // rebuilds a service that continues bit-identically — state excludes the
 // cumulative stats, so a restored run and a straight-through run produce
 // identical checkpoints from the same epoch onward, at any thread count.
@@ -89,30 +89,13 @@
 #include "core/repair.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "util/frame.h"
 
 namespace dapsp::core {
 
-// Why a checkpoint blob was rejected — the distinct failure modes a durable
-// deployment must tell apart (DESIGN.md §15). kTruncated is what a process
-// kill mid-write leaves; kChecksumMismatch is bit damage of a full-length
-// blob; kVersionMismatch is a checkpoint from a different format version
-// (right magic, wrong version word) and must not be repaired away.
-enum class CheckpointError : std::uint8_t {
-  kNone = 0,
-  kMissing = 1,           // no bytes at all
-  kTruncated = 2,         // shorter than its own structure claims
-  kBadMagic = 3,          // not a service checkpoint
-  kVersionMismatch = 4,   // "DSVC" magic, different version word
-  kChecksumMismatch = 5,  // full structure, body damaged (or bytes appended)
-  kBadPayload = 6,        // checksum holds but a field is inconsistent
-};
-
-const char* to_string(CheckpointError e) noexcept;
-
-// Classifies a checkpoint blob without building a service from it. Pure and
-// noexcept: a dry structural parse plus the trailing-checksum check.
-// (kBadPayload cases that need full deserialization — an inconsistent edge
-// list, say — are only caught by restore_blob/try_restore_blob.)
+// Classifies a DSVC checkpoint blob (CheckpointError, util/frame.h)
+// without building a service from it: pure, noexcept, allocation-free, and
+// complete — a blob that classifies kNone restores.
 CheckpointError classify_checkpoint_blob(
     std::span<const std::uint8_t> blob) noexcept;
 
@@ -432,8 +415,9 @@ class DapspService {
   DapspService(RestoreTag, const ServiceConfig& config, DynamicGraph graph);
 
   void validate_config() const;
-  // Zero source row x (dead) in working and served tables.
-  void zero_row(NodeId x);
+  // Blanks every cell of departed node x — source row x and x's own entry
+  // toward every source — in working and served tables.
+  void blank_node(NodeId x);
   // Direct-patch entry (w, s) of clean rows for a joined node (see header).
   void patch_join_entries(const DirtyReport& dr);
   // Repoints the next hops of dr.rehop cells that no longer name a live

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/journal.h"
+#include "util/frame.h"
 
 namespace dapsp {
 

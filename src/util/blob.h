@@ -1,9 +1,8 @@
 // Shared blob-file conventions: read-only memory mapping and atomic writes.
 //
-// Every on-disk artifact in this repo (DSVC checkpoints, DJRN journals, and
-// now DQRY query snapshots) is a little-endian, self-delimiting byte blob
-// with a trailing FNV-1a checksum. This module supplies the two file-level
-// operations those formats share:
+// Every on-disk artifact in this repo (DSVC checkpoints, DJRN journals and
+// DQRY query snapshots) is a framed byte blob (util/frame.h). This module
+// supplies the two file-level operations those formats share:
 //
 //   * MappedBlob — a read-only view of a file's bytes, mmap'd when the
 //     platform allows it (zero-copy: the query tier serves point lookups

@@ -2,78 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 namespace dapsp {
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                      std::uint64_t h) noexcept {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void ByteReader::need(std::size_t k) const {
-  if (left_ < k) {
-    throw std::runtime_error(std::string(context_) + ": truncated input");
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  const std::uint8_t v = *p_;
-  ++p_;
-  --left_;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p_[i]} << (8 * i);
-  p_ += 4;
-  left_ -= 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p_[i]} << (8 * i);
-  p_ += 8;
-  left_ -= 8;
-  return v;
-}
-
-std::vector<std::uint8_t> ByteReader::bytes(std::size_t k) {
-  need(k);
-  std::vector<std::uint8_t> out(p_, p_ + k);
-  p_ += k;
-  left_ -= k;
-  return out;
-}
-
-void ByteReader::skip(std::size_t k) {
-  need(k);
-  p_ += k;
-  left_ -= k;
-}
 
 // ------------------------------------------------------------------ FileSink
 
@@ -160,20 +92,14 @@ JournalScan scan_journal(const std::string& path) {
   }
   std::vector<std::uint8_t> b{std::istreambuf_iterator<char>(in), {}};
   scan.file_bytes = b.size();
-  if (b.size() < kJournalHeaderBytes) {
-    scan.error = JournalError::kTornHeader;
-    return scan;
-  }
-  if (std::memcmp(b.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    scan.error = JournalError::kBadMagic;
-    return scan;
-  }
-  std::uint32_t version = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= std::uint32_t{b[4 + static_cast<std::size_t>(i)]} << (8 * i);
-  }
-  if (version != kJournalVersion) {
-    scan.error = JournalError::kVersionMismatch;
+  const CheckpointError tag = check_tag(b, kJournalTag);
+  if (tag != CheckpointError::kNone) {
+    // A short file is a crash before the header landed; a full foreign
+    // header is not crash damage.
+    scan.error = tag == CheckpointError::kTruncated ? JournalError::kTornHeader
+                 : tag == CheckpointError::kBadMagic
+                     ? JournalError::kBadMagic
+                     : JournalError::kVersionMismatch;
     return scan;
   }
   scan.valid_bytes = kJournalHeaderBytes;
@@ -190,14 +116,14 @@ JournalScan scan_journal(const std::string& path) {
       scan.error = JournalError::kTornTail;  // partial (or absurd) payload
       return scan;
     }
-    std::vector<std::uint8_t> payload = r.bytes(len);
+    const std::span<const std::uint8_t> payload = r.view(len);
     if (fnv1a64(payload) != want) {
       // A checksum break is treated as tail damage: everything from this
       // record on is dropped (crash-only fault model — see header).
       scan.error = JournalError::kTornTail;
       return scan;
     }
-    scan.records.push_back(std::move(payload));
+    scan.records.emplace_back(payload.begin(), payload.end());
     scan.valid_bytes += 4 + 8 + std::uint64_t{len};
   }
   return scan;
@@ -251,8 +177,7 @@ JournalWriter::JournalWriter(const std::string& path, FileSink::Mode mode,
     return;  // appending to an existing, headered journal
   }
   std::vector<std::uint8_t> header;
-  header.insert(header.end(), kJournalMagic, kJournalMagic + 4);
-  put_u32(header, kJournalVersion);
+  put_tag(header, kJournalTag);
   sink_.write(header);
   sink_.flush();
 }

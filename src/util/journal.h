@@ -5,12 +5,11 @@
 // must never lose an acknowledged update. This module supplies the storage
 // substrate for that contract:
 //
-//   * File format — an 8-byte versioned header ("DJRN" + little-endian
-//     format version) followed by self-delimiting records:
+//   * File format — the DJRN frame tag (util/frame.h) followed by
+//     self-delimiting records:
 //         u32 payload_len | u64 fnv1a64(payload) | payload bytes
-//     Every field is little-endian. The per-record checksum catches bit
-//     damage; the length prefix makes the valid prefix recognizable after a
-//     crash mid-append.
+//     The per-record checksum catches bit damage; the length prefix makes
+//     the valid prefix recognizable after a crash mid-append.
 //
 //   * Torn-tail semantics — a crash can leave any byte prefix of the file.
 //     scan_journal() reads the longest valid record prefix and classifies
@@ -42,45 +41,9 @@
 #include <string>
 #include <vector>
 
+#include "util/frame.h"
+
 namespace dapsp {
-
-// FNV-1a 64 offset basis: the hash of no bytes.
-inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
-
-// FNV-1a 64-bit over `bytes`, continuing from `h` (default: a fresh hash) —
-// the repo's one hash: journal records, service checkpoints, DQRY snapshots
-// and the overload simulator's completion digest.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                      std::uint64_t h = kFnv1a64Offset) noexcept;
-
-// Little-endian append helpers shared by every serializer in the repo.
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-
-// Bounds-checked little-endian reader. Throws std::runtime_error with
-// `context` in the message when a read would run past the end.
-class ByteReader {
- public:
-  ByteReader(std::span<const std::uint8_t> bytes, const char* context)
-      : p_(bytes.data()), left_(bytes.size()), context_(context) {}
-
-  std::size_t left() const noexcept { return left_; }
-  bool can_read(std::size_t k) const noexcept { return left_ >= k; }
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  // Copies `k` raw bytes out.
-  std::vector<std::uint8_t> bytes(std::size_t k);
-  void skip(std::size_t k);
-
- private:
-  void need(std::size_t k) const;
-
-  const std::uint8_t* p_;
-  std::size_t left_;
-  const char* context_;
-};
 
 // Thrown by a sink when its CrashPoint budget fires in soft mode: the bytes
 // up to the budget are durable, everything after is lost — exactly what a
@@ -128,9 +91,9 @@ class FileSink {
   std::uint64_t written_ = 0;
 };
 
-inline constexpr char kJournalMagic[4] = {'D', 'J', 'R', 'N'};
-inline constexpr std::uint32_t kJournalVersion = 1;
-inline constexpr std::size_t kJournalHeaderBytes = 8;
+// Magic "DJRN", version LE u32 1.
+inline constexpr FrameTag kJournalTag{{'D', 'J', 'R', 'N'}, {1, 0, 0, 0}};
+inline constexpr std::size_t kJournalHeaderBytes = kFrameTagBytes;
 // Sanity cap on one record's payload; larger length prefixes are treated as
 // tail damage rather than attempted as allocations.
 inline constexpr std::uint32_t kJournalMaxPayload = 1u << 30;

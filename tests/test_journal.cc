@@ -238,8 +238,8 @@ TEST(CheckpointStoreTest, RotationAlternatesSlotsAndLoadsNewest) {
   EXPECT_FALSE(l.fallback);
   EXPECT_EQ(l.blob, b.epoch1);  // newest epoch wins
   // Both generations now on disk, both valid.
-  EXPECT_EQ(l.slot_errors[0], core::CheckpointError::kNone);
-  EXPECT_EQ(l.slot_errors[1], core::CheckpointError::kNone);
+  EXPECT_EQ(l.slot_errors[0], CheckpointError::kNone);
+  EXPECT_EQ(l.slot_errors[1], CheckpointError::kNone);
 }
 
 TEST(CheckpointStoreTest, DamagedNewestFallsBackToPreviousGeneration) {
@@ -261,7 +261,7 @@ TEST(CheckpointStoreTest, DamagedNewestFallsBackToPreviousGeneration) {
   }
   const core::CheckpointStore::Loaded l = store.load();
   EXPECT_TRUE(l.fallback);
-  EXPECT_EQ(l.rejected_error, core::CheckpointError::kChecksumMismatch);
+  EXPECT_EQ(l.rejected_error, CheckpointError::kChecksumMismatch);
   EXPECT_EQ(l.blob, b.epoch0);
 }
 

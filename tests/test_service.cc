@@ -603,6 +603,34 @@ TEST(Service, QueryValidatesEndpointsAndReportsInactive) {
   EXPECT_EQ(q.dist, kInfDist);
 }
 
+TEST(Service, DepartedNodesKeepNoCells) {
+  DapspService svc(gen::grid(3, 3), {});
+  ChurnBatch b;
+  b.deltas.push_back({DeltaKind::kNodeLeave, 4, 4});
+  b.crashes.push_back(8);
+  svc.step(b);
+  const auto expect_blank = [](const DistanceMatrix& dist,
+                               const std::vector<std::vector<NodeId>>& hop,
+                               const char* where) {
+    for (const NodeId x : {NodeId{4}, NodeId{8}}) {
+      for (NodeId s = 0; s < dist.n(); ++s) {
+        EXPECT_EQ(dist.at(x, s), kInfDist) << where << " d(" << x << "," << s;
+        EXPECT_EQ(dist.at(s, x), kInfDist) << where << " d(" << s << "," << x;
+        EXPECT_EQ(hop[x][s], kNoNextHop) << where << " hop(" << x << "," << s;
+        EXPECT_EQ(hop[s][x], kNoNextHop) << where << " hop(" << s << "," << x;
+      }
+    }
+  };
+  expect_blank(svc.tables().dist, svc.tables().next_hop, "working");
+  expect_blank(svc.served_dist(), svc.served_next_hop(), "served");
+  const DapspService back =
+      DapspService::restore_blob(svc.checkpoint_blob(), {}, nullptr);
+  expect_blank(back.tables().dist, back.tables().next_hop, "restored");
+  expect_blank(back.served_dist(), back.served_next_hop(), "restored served");
+  EXPECT_FALSE(svc.query(4, 0).active);
+  expect_oracle_exact(svc);
+}
+
 // ------------------------------------------------------------ CheckpointError
 
 TEST(CheckpointErrors, ClassificationNamesEveryFailureMode) {
